@@ -386,11 +386,11 @@ func BenchmarkParallelTransfer(b *testing.B) {
 
 // --- Aggregate allocation benchmarks ---
 //
-// BenchmarkAggregateSteadyState{Unpooled,Pooled} pin the satellite claim
-// that Msg-DAG pooling cuts steady-state Go allocations: run both with
-// -benchmem and compare allocs/op.
+// BenchmarkAggregateSteadyState measures the steady-state Go allocations
+// of the aggregate editing path (NewData, Push, Split, Free): run with
+// -benchmem and read allocs/op.
 
-func benchAggregateSteadyState(b *testing.B, pooling bool) {
+func BenchmarkAggregateSteadyState(b *testing.B) {
 	sys := fbufs.New(4096)
 	src := sys.NewDomain("src")
 	path, err := sys.NewPath("bench", fbufs.CachedVolatile(), 4, src)
@@ -402,7 +402,6 @@ func benchAggregateSteadyState(b *testing.B, pooling bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ctx.SetPooling(pooling)
 	data := make([]byte, 20000)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -426,14 +425,6 @@ func benchAggregateSteadyState(b *testing.B, pooling bool) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkAggregateSteadyStateUnpooled(b *testing.B) {
-	benchAggregateSteadyState(b, false)
-}
-
-func BenchmarkAggregateSteadyStatePooled(b *testing.B) {
-	benchAggregateSteadyState(b, true)
 }
 
 func BenchmarkAblationVCILocality(b *testing.B) {

@@ -3,37 +3,42 @@
 //
 // Usage:
 //
-//	fbufbench [-exp table1|fig3|fig4|fig5|fig6|cpuload|smp|audit|ablations|chaos|overload|all]
+//	fbufbench [-exp table1|fig3|fig4|fig5|fig6|cpuload|smp|audit|ablations|chaos|overload|rings|all]
 //	          [-parallel N] [-seed N]
 //	          [-json] [-json-out BENCH_report.json]
-//	          [-baseline BENCH_audit_baseline.json] [-audit-trace out.json]
+//	          [-baseline BENCH_report.json] [-audit-trace out.json]
 //	          [-trace out.json] [-metrics out.json]
 //
 // Output is plain text: one aligned table per paper table, one
 // column-per-series table per paper figure. EXPERIMENTS.md records the
-// paper-vs-measured comparison for every entry. -json additionally writes
-// the machine-readable BENCH_report.json (headline simulated metrics per
-// experiment, for tracking the perf trajectory across PRs); with -exp audit
-// the JSON holds only the latency-attribution experiment. -trace and
-// -metrics export the observability layer's Chrome trace-event JSON and
-// metrics snapshot for the benchmark run. -exp audit profiles the fig5
-// cached path per transfer stage; -audit-trace writes the audit flight
-// recorder's Perfetto dump, and -baseline compares the audit p99s against a
-// checked-in report, exiting nonzero on a >10% regression (the CI gate).
+// paper-vs-measured comparison for every entry. -trace and -metrics export
+// the observability layer's Chrome trace-event JSON and metrics snapshot
+// for the benchmark run.
+//
+// -json additionally writes the machine-readable BENCH_report.json: the
+// headline simulated metrics of every experiment (paper figures, smp,
+// audit, overload, rings), whatever -exp selects, for tracking the perf
+// trajectory across PRs. -baseline FILE is the one regression gate: it
+// builds the same full report and compares it against FILE (normally the
+// checked-in BENCH_report.json), exiting nonzero when any p99_ns value
+// grew by more than 10% or an experiment or p99 key went missing. With
+// both flags set, one report run serves both. The JSON experiments always
+// run under their pinned seeds, so -seed never changes the report.
+//
+// -exp audit profiles the fig5 cached path per transfer stage, and
+// -audit-trace writes the audit flight recorder's Perfetto dump.
 // -exp overload runs the production-shaped multi-tenant saturation
 // scenario (per-class latency, path-cache eviction sweep, admission
 // rejections, copy-fallback duty cycle); -seed N narrows it to one seed
-// for CI matrix fan-out, and -json/-baseline write and gate an
-// overload-only report the same way the audit pair does.
+// for CI matrix fan-out. -exp rings sweeps message sizes over the legacy
+// IPC and ring data planes; -seed N picks the synthetic doorbell schedule.
 // -exp smp prints the deterministic simulated-SMP scaling tables — the
 // cycle sweep, the 8/16/64-worker burst sweep (global lock vs magazine vs
 // depot), and the per-shard depot contention heatmap; -seed N perturbs
-// the burst harness's shard placement for the determinism matrix, and
-// -json/-baseline write and gate an smp-only report (heatmap p99s)
-// against BENCH_smp_baseline.json like the other gates. -parallel N
-// additionally runs the wall-clock driver with N real goroutines (opt-in:
-// the default run stays single-threaded and deterministic, and wall-clock
-// numbers never enter the JSON report).
+// the burst harness's shard placement for the determinism matrix.
+// -parallel N additionally runs the wall-clock driver with N real
+// goroutines (opt-in: the default run stays single-threaded and
+// deterministic, and wall-clock numbers never enter the JSON report).
 package main
 
 import (
@@ -55,11 +60,11 @@ var validExperiments = []string{
 
 func main() {
 	exp := flag.String("exp", "all", "experiment: table1, fig3, fig4, fig5, fig6, cpuload, smp, audit, ablations, chaos, overload, rings, all (chaos, overload, and rings not in all)")
-	seed := flag.Int64("seed", 0, "run -exp overload or -exp rings with this single seed (0 = overload matrix / pinned rings seed; the JSON experiments always use the pinned report seed)")
+	seed := flag.Int64("seed", 0, "run -exp overload, rings, or smp with this single seed (0 = overload matrix / pinned rings and smp seeds; the JSON report always uses the pinned seeds)")
 	parallel := flag.Int("parallel", 0, "also run the wall-clock parallel driver with N real goroutines (0 = off; numbers not written to the JSON report)")
-	jsonOut := flag.Bool("json", false, "write the machine-readable benchmark report")
+	jsonOut := flag.Bool("json", false, "write the machine-readable benchmark report (every experiment, whatever -exp says)")
 	jsonPath := flag.String("json-out", "BENCH_report.json", "path for the -json report")
-	baseline := flag.String("baseline", "", "compare the audit experiment against this baseline report; exit 1 on a >10% p99 regression")
+	baseline := flag.String("baseline", "", "gate the full report against this baseline report (normally BENCH_report.json); exit 1 when a p99_ns value grew >10% or a key is missing")
 	auditTrace := flag.String("audit-trace", "", "write the audit flight recorder's Perfetto dump to this file")
 	tracePath := flag.String("trace", "", "write Chrome trace-event JSON (Perfetto) to this file")
 	metricsPath := flag.String("metrics", "", "write a JSON metrics snapshot to this file")
@@ -71,111 +76,55 @@ func main() {
 		bench.SetObserver(o)
 	}
 	if err := run(os.Stdout, *exp, *seed); err != nil {
-		fmt.Fprintln(os.Stderr, "fbufbench:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	if *parallel > 0 {
 		if err := runWallClock(os.Stdout, *parallel); err != nil {
-			fmt.Fprintln(os.Stderr, "fbufbench:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 	}
 
-	// The audit artifacts (audit-only JSON, Perfetto dump, baseline gate)
-	// share one run; -exp overload routes the JSON and the gate to the
-	// overload experiment instead.
-	var auditRep *bench.Report
-	var auditRes *bench.AuditResult
-	if (*baseline != "" && *exp != "overload" && *exp != "rings" && *exp != "smp") || *auditTrace != "" || (*jsonOut && *exp == "audit") {
+	// -json and -baseline share one full report run, whatever -exp says.
+	var rep *bench.Report
+	if *jsonOut || *baseline != "" {
 		var err error
-		auditRep, auditRes, err = bench.AuditReport()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fbufbench:", err)
-			os.Exit(1)
+		if rep, err = bench.BuildReport(); err != nil {
+			fatal(err)
 		}
-		auditRep.Flags = flagSet()
-	}
-	var overloadRep *bench.Report
-	if *exp == "overload" && (*jsonOut || *baseline != "") {
-		var err error
-		overloadRep, err = bench.OverloadReport()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fbufbench:", err)
-			os.Exit(1)
-		}
-		overloadRep.Flags = flagSet()
-	}
-	var ringsRep *bench.Report
-	if *exp == "rings" && (*jsonOut || *baseline != "") {
-		var err error
-		ringsRep, err = bench.RingsReport()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fbufbench:", err)
-			os.Exit(1)
-		}
-		ringsRep.Flags = flagSet()
-	}
-	var smpRep *bench.Report
-	if *exp == "smp" && (*jsonOut || *baseline != "") {
-		var err error
-		smpRep, err = bench.SMPReport()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fbufbench:", err)
-			os.Exit(1)
-		}
-		smpRep.Flags = flagSet()
+		rep.Flags = flagSet()
 	}
 	if *jsonOut {
-		var err error
-		switch *exp {
-		case "audit":
-			err = writeAuditReport(*jsonPath, auditRep)
-		case "overload":
-			err = writeNamedReport(*jsonPath, overloadRep,
-				fmt.Sprintf("overload quick-class p99 %.0f ns", overloadRep.Experiments["overload"].Headline))
-		case "rings":
-			err = writeNamedReport(*jsonPath, ringsRep,
-				fmt.Sprintf("rings 64B e2e p99 %.0f ns", ringsRep.Experiments["rings"].Headline))
-		case "smp":
-			err = writeNamedReport(*jsonPath, smpRep,
-				fmt.Sprintf("smp burst depot 8w speedup %.2fx", smpRep.Experiments["smp_scaling"].Headline))
-		default:
-			err = writeReport(*jsonPath, flagSet())
+		if err := createFile(*jsonPath, rep.WriteJSON); err != nil {
+			fatal(err)
 		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fbufbench:", err)
-			os.Exit(1)
-		}
+		fmt.Printf("wrote %s: %s\n", *jsonPath, rep.Summary())
 	}
 	if *auditTrace != "" {
-		if err := writeAuditTrace(*auditTrace, auditRes); err != nil {
-			fmt.Fprintln(os.Stderr, "fbufbench:", err)
-			os.Exit(1)
+		res, err := bench.Audit()
+		if err != nil {
+			fatal(err)
+		}
+		if err := createFile(*auditTrace, res.Recorder.WriteDump); err != nil {
+			fatal(err)
 		}
 	}
 	if *baseline != "" {
-		gate, rep, compare := "audit", auditRep, bench.CompareAudit
-		if *exp == "overload" {
-			gate, rep, compare = "overload", overloadRep, bench.CompareOverload
+		if err := gateReport(*baseline, rep); err != nil {
+			fatal(err)
 		}
-		if *exp == "rings" {
-			gate, rep, compare = "rings", ringsRep, bench.CompareRings
-		}
-		if *exp == "smp" {
-			gate, rep, compare = "smp_scaling", smpRep, bench.CompareSMP
-		}
-		if err := gateReport(*baseline, rep, compare); err != nil {
-			fmt.Fprintln(os.Stderr, "fbufbench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("%s gate: no p99 regression vs %s\n", gate, *baseline)
+		fmt.Printf("gate: no p99 regression vs %s\n", *baseline)
 	}
 	if o != nil {
 		if err := exportObserved(o, *tracePath, *metricsPath); err != nil {
-			fmt.Fprintln(os.Stderr, "fbufbench:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 	}
+}
+
+// fatal reports err and exits nonzero.
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "fbufbench:", err)
+	os.Exit(1)
 }
 
 // flagSet records the explicitly set flags for the report stamp.
@@ -187,39 +136,8 @@ func flagSet() []string {
 	return set
 }
 
-// writeAuditReport writes the audit-only report.
-func writeAuditReport(path string, rep *bench.Report) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rep.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s: audit p99 %.0f ns\n", path, rep.Experiments["audit_latency_attribution"].Headline)
-	return nil
-}
-
-// writeAuditTrace writes the audit run's flight-recorder Perfetto dump.
-func writeAuditTrace(path string, res *bench.AuditResult) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := res.Recorder.WriteDump(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// gateReport compares the current report against the baseline file with
-// the given experiment comparator.
-func gateReport(path string, cur *bench.Report, compare func(base, cur *bench.Report) error) error {
+// gateReport compares the current report against the baseline file.
+func gateReport(path string, cur *bench.Report) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -229,76 +147,32 @@ func gateReport(path string, cur *bench.Report, compare func(base, cur *bench.Re
 	if err != nil {
 		return err
 	}
-	return compare(base, cur)
+	return bench.Compare(base, cur)
 }
 
-// writeNamedReport writes a single-experiment report with a summary line.
-func writeNamedReport(path string, rep *bench.Report, summary string) error {
+// createFile writes path with write, closing the file on every path.
+func createFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := rep.WriteJSON(f); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s: %s\n", path, summary)
-	return nil
-}
-
-// writeReport builds the machine-readable report and writes it.
-func writeReport(path string, flags []string) error {
-	rep, err := bench.BuildReport()
-	if err != nil {
-		return err
-	}
-	rep.Flags = flags
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rep.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s: %s\n", path, rep.Summary())
-	return nil
+	return f.Close()
 }
 
 // exportObserved writes the observer's trace and metrics files.
 func exportObserved(o *obs.Observer, tracePath, metricsPath string) error {
 	if tracePath != "" {
-		f, err := os.Create(tracePath)
-		if err != nil {
-			return err
-		}
-		if err := o.Tracer.WriteChromeTrace(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := createFile(tracePath, o.Tracer.WriteChromeTrace); err != nil {
 			return err
 		}
 	}
 	if metricsPath != "" {
 		bench.PublishObserved()
-		f, err := os.Create(metricsPath)
-		if err != nil {
-			return err
-		}
-		if err := o.Metrics.Snapshot().WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
+		return createFile(metricsPath, o.Metrics.Snapshot().WriteJSON)
 	}
 	return nil
 }

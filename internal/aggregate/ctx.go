@@ -41,41 +41,6 @@ type Ctx struct {
 	batchBuf   []*core.Fbuf
 	preBuf     map[*core.Fbuf]int
 	seenBuf    map[*core.Fbuf]bool
-
-	// Msg recycling (SetPooling): consumed message views return to this
-	// freelist and back fresh views, keeping slice capacity.
-	pooling bool
-	msgPool []*Msg
-}
-
-// SetPooling enables (or disables) recycling of consumed Msg views through
-// a per-Ctx freelist, eliminating the per-operation Msg/slice allocations
-// of the editing path. Off by default because recycling makes retaining a
-// pointer to a consumed view an aliasing hazard: the struct may be reborn
-// as a different message by a later operation. Enable it only for layers
-// that never touch a message after an editing operation consumed it — the
-// discipline the aggregate API already demands, now load-bearing.
-func (c *Ctx) SetPooling(on bool) { c.pooling = on }
-
-// newMsg returns a zeroed message, recycled from the freelist when pooling
-// is enabled.
-func (c *Ctx) newMsg() *Msg {
-	if n := len(c.msgPool); c.pooling && n > 0 {
-		m := c.msgPool[n-1]
-		c.msgPool[n-1] = nil
-		c.msgPool = c.msgPool[:n-1]
-		segs, fbufs := m.segs[:0], m.fbufs[:0]
-		*m = Msg{segs: segs, fbufs: fbufs}
-		return m
-	}
-	return &Msg{}
-}
-
-// recycleMsg returns a consumed view to the freelist.
-func (c *Ctx) recycleMsg(m *Msg) {
-	if c.pooling && m.consumed {
-		c.msgPool = append(c.msgPool, m)
-	}
 }
 
 // NewCtx builds a context over a data path. In integrated mode a companion
@@ -248,9 +213,6 @@ func (c *Ctx) rebalance(preHave map[*core.Fbuf]int, inputs, outputs []*Msg) erro
 		}
 	}
 	c.endOp()
-	for _, in := range inputs {
-		c.recycleMsg(in)
-	}
 	return nil
 }
 
@@ -356,9 +318,7 @@ func (c *Ctx) Join(a, b *Msg) (*Msg, error) {
 	if a.consumed || b.consumed {
 		return nil, ErrConsumed
 	}
-	m := c.newMsg()
-	m.mgr = c.Mgr
-	m.integrated = c.integrated
+	m := &Msg{mgr: c.Mgr, integrated: c.integrated}
 	m.segs = append(append(m.segs, a.segs...), b.segs...)
 	m.length = a.length + b.length
 	m.fbufs = c.uniqueFbufsInto(m.fbufs, m.segs)
@@ -487,9 +447,7 @@ func (c *Ctx) uniqueFbufsInto(dst []*core.Fbuf, segs []Seg) []*core.Fbuf {
 // fromSegs builds a message over a segment list, writing a fresh DAG chain
 // in integrated mode. Reference accounting is the caller's job (rebalance).
 func (c *Ctx) fromSegs(segs []Seg) (*Msg, error) {
-	m := c.newMsg()
-	m.mgr = c.Mgr
-	m.integrated = c.integrated
+	m := &Msg{mgr: c.Mgr, integrated: c.integrated}
 	m.segs = segs
 	m.length = totalLen(segs)
 	m.fbufs = c.uniqueFbufsInto(m.fbufs, segs)

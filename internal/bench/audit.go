@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"fbufs/internal/core"
@@ -127,7 +126,7 @@ func (a *AuditResult) WriteTo(w io.Writer) (int64, error) {
 
 // AuditExperiment flattens the data path's attribution into a report
 // Experiment: headline is the end-to-end p99; values carry the per-stage
-// totals and p99s the CI regression gate compares.
+// totals and p99s the regression gate (Compare) checks.
 func (a *AuditResult) AuditExperiment() (Experiment, error) {
 	pr := a.Profile.Path("data")
 	if pr == nil {
@@ -153,75 +152,4 @@ func (a *AuditResult) AuditExperiment() (Experiment, error) {
 	vals["ring drained_entries"] = float64(a.RingStats.Drained + a.RingStats.CompletionsDrained)
 	vals["ring fallbacks"] = float64(a.RingStats.SubmitFallbacks + a.RingStats.CompleteFallback)
 	return Experiment{Unit: "ns", Headline: float64(pr.E2E.P99Ns), Values: vals}, nil
-}
-
-// AuditReport builds a report holding only the audit experiment — what
-// `fbufbench -exp audit -json` writes and the CI bench-audit job gates on.
-func AuditReport() (*Report, *AuditResult, error) {
-	a, err := Audit()
-	if err != nil {
-		return nil, nil, err
-	}
-	exp, err := a.AuditExperiment()
-	if err != nil {
-		return nil, nil, err
-	}
-	rep := NewReport()
-	rep.Experiments["audit_latency_attribution"] = exp
-	return rep, a, nil
-}
-
-// auditRegressionTolerance is the CI gate: a p99 attribution value may grow
-// by at most 10% over the checked-in baseline.
-const auditRegressionTolerance = 0.10
-
-// CompareAudit checks the current audit experiment against a baseline
-// report and returns an error describing every p99 value that regressed
-// more than the tolerance. Stages present only on one side are reported
-// too: a vanished stage means the attribution itself changed shape.
-func CompareAudit(baseline, current *Report) error {
-	return compareP99(baseline, current, "audit_latency_attribution")
-}
-
-// CompareOverload gates the overload experiment's per-tenant-class p99
-// latencies the same way (`fbufbench -exp overload -baseline ...`).
-func CompareOverload(baseline, current *Report) error {
-	return compareP99(baseline, current, "overload")
-}
-
-// compareP99 compares every "p99_ns"-suffixed value of the named
-// experiment between two reports under the shared tolerance.
-func compareP99(baseline, current *Report, name string) error {
-	base, ok := baseline.Experiments[name]
-	if !ok {
-		return fmt.Errorf("bench: baseline has no %s experiment", name)
-	}
-	cur, ok := current.Experiments[name]
-	if !ok {
-		return fmt.Errorf("bench: current report has no %s experiment", name)
-	}
-	keys := make([]string, 0, len(base.Values))
-	for k := range base.Values {
-		if strings.HasSuffix(k, "p99_ns") {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	var bad []string
-	for _, k := range keys {
-		b := base.Values[k]
-		c, ok := cur.Values[k]
-		if !ok {
-			bad = append(bad, fmt.Sprintf("%s: missing from current report (baseline %.0f)", k, b))
-			continue
-		}
-		if b > 0 && c > b*(1+auditRegressionTolerance) {
-			bad = append(bad, fmt.Sprintf("%s: %.0f -> %.0f (+%.1f%%)", k, b, c, 100*(c/b-1)))
-		}
-	}
-	if len(bad) > 0 {
-		return fmt.Errorf("bench: %s p99 regression beyond %.0f%%:\n  %s",
-			name, 100*auditRegressionTolerance, strings.Join(bad, "\n  "))
-	}
-	return nil
 }

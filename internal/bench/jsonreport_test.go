@@ -3,6 +3,8 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"sort"
+	"strings"
 	"testing"
 )
 
@@ -73,5 +75,87 @@ func TestBuildReport(t *testing.T) {
 	// centrepiece; pin it so report regressions are loud.
 	if got := rep.Experiments["table1_per_page_cost"].Headline; got != 3.0 {
 		t.Errorf("table1 cached/volatile headline = %v us/page, want 3.0", got)
+	}
+}
+
+// TestCompareGate exercises the one regression gate the way CI runs it:
+// the full report gates cleanly against itself and against a JSON round
+// trip of itself, while a 20% rise of one p99 in any gated experiment, a
+// missing p99 key, and a missing experiment each fail it, naming the key.
+func TestCompareGate(t *testing.T) {
+	rep, err := BuildReport()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Schema != ReportSchema {
+		t.Errorf("report schema = %d, want %d", rep.Schema, ReportSchema)
+	}
+	audit := rep.Experiments["audit_latency_attribution"]
+	if audit.Headline <= 0 {
+		t.Error("audit headline p99 is zero")
+	}
+	if audit.Values["e2e p99_ns"] != audit.Headline {
+		t.Error("audit headline is not the e2e p99")
+	}
+	if h := rep.Experiments["smp_scaling"].Headline; h < 6 {
+		t.Errorf("smp headline (depot 8w burst speedup) = %.2f, want >= 6", h)
+	}
+
+	var buf bytes.Buffer
+	if err := rep.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	// reload returns an independent deep copy of the report.
+	reload := func() *Report {
+		r, err := LoadReport(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	if err := Compare(rep, rep); err != nil {
+		t.Errorf("report does not gate against itself: %v", err)
+	}
+	if err := Compare(reload(), rep); err != nil {
+		t.Errorf("report does not gate against its JSON round trip: %v", err)
+	}
+
+	for _, name := range []string{"audit_latency_attribution", "overload", "rings", "smp_scaling"} {
+		var keys []string
+		for k, v := range rep.Experiments[name].Values {
+			if strings.HasSuffix(k, "p99_ns") && v > 0 {
+				keys = append(keys, k)
+			}
+		}
+		if len(keys) == 0 {
+			t.Errorf("%s: no nonzero p99_ns key to regress", name)
+			continue
+		}
+		sort.Strings(keys)
+		key := keys[0]
+
+		worse := reload()
+		worse.Experiments[name].Values[key] *= 1.2
+		if err := Compare(rep, worse); err == nil {
+			t.Errorf("20%% regression of %s/%q passed the gate", name, key)
+		} else if !strings.Contains(err.Error(), name+"/"+key) {
+			t.Errorf("gate error does not name %s/%q: %v", name, key, err)
+		}
+
+		delete(worse.Experiments[name].Values, key)
+		if err := Compare(rep, worse); err == nil {
+			t.Errorf("missing key %s/%q passed the gate", name, key)
+		} else if !strings.Contains(err.Error(), name+"/"+key) {
+			t.Errorf("gate error does not name missing %s/%q: %v", name, key, err)
+		}
+
+		worse = reload()
+		delete(worse.Experiments, name)
+		if err := Compare(rep, worse); err == nil {
+			t.Errorf("missing experiment %s passed the gate", name)
+		} else if !strings.Contains(err.Error(), name) {
+			t.Errorf("gate error does not name missing experiment %s: %v", name, err)
+		}
 	}
 }

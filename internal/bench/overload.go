@@ -470,16 +470,3 @@ func OverloadExperiment() (Experiment, error) {
 		Values:   vals,
 	}, nil
 }
-
-// OverloadReport builds a report holding only the overload experiment —
-// what `fbufbench -exp overload -json` writes and the CI overload job
-// gates against its checked-in baseline.
-func OverloadReport() (*Report, error) {
-	exp, err := OverloadExperiment()
-	if err != nil {
-		return nil, err
-	}
-	rep := NewReport()
-	rep.Experiments["overload"] = exp
-	return rep, nil
-}

@@ -286,8 +286,8 @@ func smpScalingValues() (map[string]float64, *Table, error) {
 // clocks: each shared resource (path lock, depot lock, each depot shard)
 // has a release time, and a worker arriving early advances to it. The
 // waits recorded against each shard become the per-shard contention
-// heatmap published into BENCH_report.json and gated (p99, 10%) against
-// BENCH_smp_baseline.json.
+// heatmap published into BENCH_report.json, whose p99s Compare gates
+// (10%) against the checked-in report.
 
 const (
 	// smpBurst is the batch size per half-round: 48 allocs, then 48 frees,
@@ -326,9 +326,9 @@ var smpBurstConfigs = []string{"global-lock", "magazine", "depot"}
 
 // smpBurstRun is one burst configuration x worker-count measurement.
 type smpBurstRun struct {
-	opsPerSec   float64 // alloc/free pairs per simulated second
-	lockWaitUS  float64 // modelled wait on the shared path lock
-	depotWaitUS float64 // modelled wait on the depot lock
+	opsPerSec   float64              // alloc/free pairs per simulated second
+	lockWaitUS  float64              // modelled wait on the shared path lock
+	depotWaitUS float64              // modelled wait on the depot lock
 	shardWaits  [][]simtime.Duration // per-shard wait samples (depot only)
 	shardVisits []uint64
 	exchanges   uint64 // whole-unit depot exchanges across all workers
@@ -560,7 +560,7 @@ func smpBurstValues(seed int64, vals map[string]float64) ([]*Table, error) {
 			smpBurst, smpBurst, smpBurstRounds, smpUnitCap, smpDepotShards, seed),
 	}
 	heat := &Table{
-		Title:  "Depot shard contention heatmap (p99 modelled wait ns per shard)",
+		Title: "Depot shard contention heatmap (p99 modelled wait ns per shard)",
 		Header: append([]string{"workers"}, func() []string {
 			h := make([]string, smpDepotShards)
 			for i := range h {
@@ -630,28 +630,4 @@ func smpAllValues(seed int64) (map[string]float64, []*Table, error) {
 		return nil, nil, err
 	}
 	return vals, append([]*Table{cycle}, burst...), nil
-}
-
-// SMPReport builds a report holding only the smp_scaling experiment — what
-// `fbufbench -exp smp -json` writes and the CI smp-depot job gates on. It
-// always uses the pinned SMPSeed so baselines compare across machines.
-// Headline: the burst depot speedup at 8 workers, the PR's >=6x claim.
-func SMPReport() (*Report, error) {
-	vals, _, err := smpAllValues(SMPSeed)
-	if err != nil {
-		return nil, err
-	}
-	rep := NewReport()
-	rep.Experiments["smp_scaling"] = Experiment{
-		Unit:     "ops/s (speedups and counters unitless)",
-		Headline: vals["speedup burst depot 8w"],
-		Values:   vals,
-	}
-	return rep, nil
-}
-
-// CompareSMP gates the shard-contention heatmap p99s the same way the
-// audit, overload, and rings gates do (`fbufbench -exp smp -baseline ...`).
-func CompareSMP(baseline, current *Report) error {
-	return compareP99(baseline, current, "smp_scaling")
 }

@@ -96,43 +96,3 @@ func TestSMPBurstDeterministic(t *testing.T) {
 		}
 	}
 }
-
-// TestSMPReportAndCompare exercises the smp gate pair the way CI does:
-// a report gates cleanly against itself, a regressed heatmap p99 fails,
-// and a missing key fails.
-func TestSMPReportAndCompare(t *testing.T) {
-	rep, err := SMPReport()
-	if err != nil {
-		t.Fatal(err)
-	}
-	exp := rep.Experiments["smp_scaling"]
-	if exp.Headline < 6 {
-		t.Errorf("smp report headline (depot 8w burst speedup) = %.2f, want >= 6", exp.Headline)
-	}
-	if err := CompareSMP(rep, rep); err != nil {
-		t.Errorf("report does not gate against itself: %v", err)
-	}
-	// Regress one heatmap value by 2x in a copy of the current report.
-	worse, err := SMPReport()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var key string
-	for k, v := range worse.Experiments["smp_scaling"].Values {
-		if v > 0 && len(k) > 6 && k[len(k)-6:] == "p99_ns" {
-			worse.Experiments["smp_scaling"].Values[k] = 2 * v
-			key = k
-			break
-		}
-	}
-	if key == "" {
-		t.Fatal("no nonzero p99_ns key to regress")
-	}
-	if err := CompareSMP(rep, worse); err == nil {
-		t.Errorf("2x regression of %q passed the gate", key)
-	}
-	delete(worse.Experiments["smp_scaling"].Values, key)
-	if err := CompareSMP(rep, worse); err == nil {
-		t.Errorf("missing key %q passed the gate", key)
-	}
-}

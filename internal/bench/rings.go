@@ -257,7 +257,7 @@ func (r *RingsResult) WriteTo(w io.Writer) (int64, error) {
 
 // RingsExperiment flattens the result into a report Experiment: headline
 // is the ring plane's 64 B end-to-end p99; values carry both planes'
-// p99s (gated by compareP99), throughputs, and crossing rates.
+// p99s (gated by Compare), throughputs, and crossing rates.
 func (r *RingsResult) RingsExperiment() Experiment {
 	vals := map[string]float64{
 		"synthetic doorbells":   float64(r.Synth.Doorbells),
@@ -281,23 +281,4 @@ func (r *RingsResult) RingsExperiment() Experiment {
 		}
 	}
 	return Experiment{Unit: "ns", Headline: headline, Values: vals}
-}
-
-// RingsReport builds a report holding only the rings experiment — what
-// `fbufbench -exp rings -json` writes and the CI rings job gates on. It
-// always uses the pinned RingsSeed so baselines compare across machines.
-func RingsReport() (*Report, error) {
-	r, err := Rings(RingsSeed)
-	if err != nil {
-		return nil, err
-	}
-	rep := NewReport()
-	rep.Experiments["rings"] = r.RingsExperiment()
-	return rep, nil
-}
-
-// CompareRings gates the rings experiment's p99 latencies the same way the
-// audit and overload gates do (`fbufbench -exp rings -baseline ...`).
-func CompareRings(baseline, current *Report) error {
-	return compareP99(baseline, current, "rings")
 }

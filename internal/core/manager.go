@@ -274,11 +274,19 @@ func (s Stats) Check() error {
 // atomic load, so Snapshot is safe during concurrent operation; it is a
 // per-field snapshot, not a globally consistent cut — cross-counter
 // invariants (Stats.Check) are only meaningful at quiescence.
+//
+// Two one-sided invariants hold even mid-flight, because every writer
+// bumps Allocs before the hit/miss split and before the path's Allocated
+// count, and Snapshot loads CacheHits and CacheMisses before Allocs:
+// CacheHits+CacheMisses <= Allocs, and Allocs >= any
+// DataPath.AllocatedCount() read before the call.
 func (m *Manager) Snapshot() Stats {
+	hits := atomic.LoadUint64(&m.stats.CacheHits)
+	misses := atomic.LoadUint64(&m.stats.CacheMisses)
 	return Stats{
 		Allocs:           atomic.LoadUint64(&m.stats.Allocs),
-		CacheHits:        atomic.LoadUint64(&m.stats.CacheHits),
-		CacheMisses:      atomic.LoadUint64(&m.stats.CacheMisses),
+		CacheHits:        hits,
+		CacheMisses:      misses,
 		Transfers:        atomic.LoadUint64(&m.stats.Transfers),
 		MappingsBuilt:    atomic.LoadUint64(&m.stats.MappingsBuilt),
 		Secures:          atomic.LoadUint64(&m.stats.Secures),

@@ -321,11 +321,6 @@ func newHost(sched *simtime.Scheduler, name string, cfg Config, txVCI, rxVCI osi
 		// cost latches the surcharge set by the placement above). The
 		// spin-then-block policy runs on the host's live virtual clock.
 		h.Env.Router.EnableRings(h.virtualNow)
-		h.Test.Rings = true
-		h.Ack.Rings = true
-		h.UDP.Rings = true
-		h.IP.Rings = true
-		h.Driver.Rings = true
 	}
 
 	dataSess := h.UDP.OpenSession(dataPort, dataPort)
@@ -334,7 +329,6 @@ func newHost(sched *simtime.Scheduler, name string, cfg Config, txVCI, rxVCI osi
 		// test <-> SWP <-> UDP session: the transport provides windowing,
 		// ordering, and retransmission over the (possibly lossy) link.
 		h.SWP = protocols.NewSWP(h.Env, ackCtx, hostTimers{h})
-		h.SWP.Rings = cfg.UseRings
 		h.SWP.Window = cfg.Window
 		if h.SWP.Window <= 0 {
 			h.SWP.Window = 8

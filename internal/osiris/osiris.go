@@ -71,10 +71,6 @@ type Driver struct {
 	// 16 most recently used circuits. On by default, as in the paper.
 	AutoInstall bool
 
-	// Rings opts the driver's cross-domain links into the shared-memory
-	// ring data plane (xkernel.RingCapable).
-	Rings bool
-
 	// RxBatch, when positive, keeps up to RxBatch preallocated reassembly
 	// fbufs per cached circuit, refilled from the path in one AllocBatch
 	// call — the driver pays the allocator lock once per batch instead of
@@ -164,9 +160,6 @@ func NewDriver(env *xkernel.Env, opts core.Options, rxDoms []*domain.Domain, rxP
 	}
 	return d
 }
-
-// RingEligible implements xkernel.RingCapable.
-func (d *Driver) RingEligible() bool { return d.Rings }
 
 // Push gathers the PDU's bytes by DMA (no CPU data touching: the board is
 // a bus master reading the fbufs' frames directly) and queues it for

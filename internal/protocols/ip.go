@@ -26,10 +26,6 @@ type IP struct {
 	// experiment, 16 KB — or 32 KB in the ablation — end-to-end).
 	PDUBytes int
 
-	// Rings opts this layer's cross-domain links into the shared-memory
-	// ring data plane (xkernel.RingCapable).
-	Rings bool
-
 	nextID  uint32
 	partial map[uint32]*reassembly
 
@@ -53,9 +49,6 @@ func NewIP(env *xkernel.Env, ctx *aggregate.Ctx, pduBytes int) *IP {
 		partial:  make(map[uint32]*reassembly),
 	}
 }
-
-// RingEligible implements xkernel.RingCapable.
-func (ip *IP) RingEligible() bool { return ip.Rings }
 
 func (ip *IP) header(id uint32, off, n, total int, more bool) []byte {
 	hdr := make([]byte, IPHeaderBytes)

@@ -46,9 +46,6 @@ type SWP struct {
 
 	// Window is the maximum number of unacknowledged messages.
 	Window int
-	// Rings opts this layer's cross-domain links into the shared-memory
-	// ring data plane (xkernel.RingCapable).
-	Rings bool
 	// RTO is the initial retransmission timeout. Each unacknowledged
 	// retransmission of a message doubles its timeout (plus deterministic
 	// seeded jitter) up to RTOMax; an acknowledgement resets the next
@@ -119,9 +116,6 @@ func NewSWP(env *xkernel.Env, ctx *aggregate.Ctx, timers TimerSource) *SWP {
 		jitter:     0x5bd1e995,
 	}
 }
-
-// RingEligible implements xkernel.RingCapable.
-func (s *SWP) RingEligible() bool { return s.Rings }
 
 // SeedJitter reseeds the deterministic backoff-jitter stream (two SWPs with
 // the same seed and event sequence produce identical timers).

@@ -19,9 +19,6 @@ type TestProto struct {
 	// Verify makes the sink check payload contents against the pattern
 	// the source wrote (integrity testing; more expensive than a touch).
 	Verify bool
-	// Rings opts this endpoint's cross-domain links into the shared-memory
-	// ring data plane (xkernel.RingCapable).
-	Rings bool
 	// Label overrides the transfer-class label stamped on this endpoint's
 	// traces (defaults to "data"). The e2e harness sets "ack" on the
 	// reverse-path endpoint so each direction profiles separately.
@@ -40,9 +37,6 @@ type TestProto struct {
 func NewTestProto(env *xkernel.Env, ctx *aggregate.Ctx) *TestProto {
 	return &TestProto{Base: xkernel.NewBase("test", ctx.Dom), env: env, ctx: ctx}
 }
-
-// RingEligible implements xkernel.RingCapable.
-func (t *TestProto) RingEligible() bool { return t.Rings }
 
 // Pattern returns the deterministic payload byte for position i of a
 // message with the given sequence number.

@@ -32,9 +32,6 @@ type UDP struct {
 	// Checksum enables full-payload checksumming (off in the paper's
 	// throughput tests; the cost is dominated by the data reads).
 	Checksum bool
-	// Rings opts this layer's cross-domain links into the shared-memory
-	// ring data plane (xkernel.RingCapable).
-	Rings bool
 
 	ports map[uint16]xkernel.Layer
 	// LocalPort and RemotePort configure the single flow the test
@@ -56,9 +53,6 @@ func NewUDP(env *xkernel.Env, ctx *aggregate.Ctx, local, remote uint16) *UDP {
 		RemotePort: remote,
 	}
 }
-
-// RingEligible implements xkernel.RingCapable.
-func (u *UDP) RingEligible() bool { return u.Rings }
 
 // Bind routes datagrams for a destination port to the given upper layer.
 func (u *UDP) Bind(port uint16, above xkernel.Layer) { u.ports[port] = above }

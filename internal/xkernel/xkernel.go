@@ -71,22 +71,10 @@ func NewEnv(sys *vm.System, mgr *core.Manager, reg *domain.Registry) *Env {
 	return e
 }
 
-// RingCapable is implemented by layers that opt their cross-domain
-// invocations into the shared-memory ring data plane. Connect and Attach
-// consult it: when either endpoint of a cross-domain link is eligible (and
-// the router has rings enabled), the domain pair is ring-attached in both
-// directions and every call between those domains rides the rings.
-type RingCapable interface {
-	RingEligible() bool
-}
-
-func ringEligible(l Layer) bool {
-	rc, ok := l.(RingCapable)
-	return ok && rc.RingEligible()
-}
-
 // attachRings maps the ring pair for both directions of a cross-domain
-// link. No-op when the router is not in ring mode.
+// link, so every call between those domains rides the shared-memory ring
+// data plane. Connect and Attach call it for every cross-domain link; it
+// is a no-op unless the router is in ring mode (Router.EnableRings).
 func attachRings(env *Env, a, b *domain.Domain) {
 	env.Router.AttachRing(a, b)
 	env.Router.AttachRing(b, a)
@@ -148,9 +136,7 @@ func Connect(env *Env, upper, lower Layer) {
 	p := newProxy(env, upper, lower, lower.Dom())
 	upper.SetBelow(p.upperStub)
 	lower.SetAbove(p.lowerStub)
-	if ringEligible(upper) || ringEligible(lower) {
-		attachRings(env, upper.Dom(), lower.Dom())
-	}
+	attachRings(env, upper.Dom(), lower.Dom())
 }
 
 // Attach returns a delivery handle for upper usable from code running in
@@ -163,9 +149,7 @@ func Attach(env *Env, upper Layer, lowerDom *domain.Domain) Layer {
 		return upper
 	}
 	p := newProxy(env, upper, nil, lowerDom)
-	if ringEligible(upper) {
-		attachRings(env, upper.Dom(), lowerDom)
-	}
+	attachRings(env, upper.Dom(), lowerDom)
 	return p.lowerStub
 }
 
