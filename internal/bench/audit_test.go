@@ -73,6 +73,52 @@ func TestAuditAttribution(t *testing.T) {
 	if aPaths == 0 || bPaths == 0 {
 		t.Errorf("contention cells missing a host: A=%d B=%d", aPaths, bPaths)
 	}
+}
+
+// TestAuditReportAndCompare checks the audit plane's report experiment and
+// gates it through Compare: a report holding only the audit experiment
+// gates cleanly against its JSON round trip, a 20% slower copy fails.
+func TestAuditReportAndCompare(t *testing.T) {
+	a, err := Audit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp, err := a.AuditExperiment()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exp.Headline <= 0 {
+		t.Fatal("audit headline p99 is zero")
+	}
+	if exp.Values["e2e p99_ns"] != exp.Headline {
+		t.Error("headline is not the e2e p99")
+	}
+	rep := NewReport()
+	rep.Experiments["audit_latency_attribution"] = exp
+
+	// Round-trip through the loader.
+	var buf bytes.Buffer
+	if err := rep.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadReport(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Identical run vs itself: no regression.
+	if err := Compare(loaded, rep); err != nil {
+		t.Errorf("self-comparison regressed: %v", err)
+	}
+	// A 20% slower current report must fail the gate.
+	worse := NewReport()
+	wv := make(map[string]float64, len(exp.Values))
+	for k, v := range exp.Values {
+		wv[k] = v * 1.2
+	}
+	worse.Experiments["audit_latency_attribution"] = Experiment{Unit: "ns", Headline: exp.Headline * 1.2, Values: wv}
+	if err := Compare(loaded, worse); err == nil {
+		t.Error("20% regression passed the gate")
+	}
 
 	// The flight recorder's dump must be loadable Perfetto JSON even
 	// untripped (CI uploads it as an artifact).

@@ -96,3 +96,47 @@ func TestSMPBurstDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestSMPReportAndCompare checks the smp plane's report experiment and
+// gates it through Compare: a report holding only smp_scaling gates
+// cleanly against itself, a regressed heatmap p99 fails, and a missing key
+// fails.
+func TestSMPReportAndCompare(t *testing.T) {
+	smpReport := func() *Report {
+		vals, _, err := smpAllValues(SMPSeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := NewReport()
+		rep.Experiments["smp_scaling"] = Experiment{Headline: vals["speedup burst depot 8w"], Values: vals}
+		return rep
+	}
+	rep := smpReport()
+	exp := rep.Experiments["smp_scaling"]
+	if exp.Headline < 6 {
+		t.Errorf("smp report headline (depot 8w burst speedup) = %.2f, want >= 6", exp.Headline)
+	}
+	if err := Compare(rep, rep); err != nil {
+		t.Errorf("report does not gate against itself: %v", err)
+	}
+	// Regress one heatmap value by 2x in a copy of the current report.
+	worse := smpReport()
+	var key string
+	for k, v := range worse.Experiments["smp_scaling"].Values {
+		if v > 0 && len(k) > 6 && k[len(k)-6:] == "p99_ns" {
+			worse.Experiments["smp_scaling"].Values[k] = 2 * v
+			key = k
+			break
+		}
+	}
+	if key == "" {
+		t.Fatal("no nonzero p99_ns key to regress")
+	}
+	if err := Compare(rep, worse); err == nil {
+		t.Errorf("2x regression of %q passed the gate", key)
+	}
+	delete(worse.Experiments["smp_scaling"].Values, key)
+	if err := Compare(rep, worse); err == nil {
+		t.Errorf("missing key %q passed the gate", key)
+	}
+}
