@@ -26,6 +26,7 @@ package aggregate
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"fbufs/internal/core"
 	"fbufs/internal/domain"
@@ -49,8 +50,12 @@ type Msg struct {
 	rootVA     vm.VA // 0 in private mode
 	segs       []Seg
 	fbufs      []*core.Fbuf // unique fbufs this message holds references to
-	length     int
-	consumed   bool
+	// ndata counts the leading fbufs that back segments, in segment
+	// order; the rest are DAG node fbufs. It is -1 for an Opened view,
+	// whose fbufs are in traversal order (see layout).
+	ndata    int
+	length   int
+	consumed bool
 }
 
 // Errors.
@@ -204,6 +209,7 @@ func (m *Msg) ViewFor(d *domain.Domain) (*Msg, error) {
 		integrated: m.integrated,
 		rootVA:     m.rootVA,
 		segs:       append([]Seg(nil), m.segs...),
+		ndata:      m.ndata,
 		length:     m.length,
 	}
 	for _, f := range m.fbufs {
@@ -233,17 +239,34 @@ func (m *Msg) Clone(d *domain.Domain) (*Msg, error) {
 	return &c, nil
 }
 
-// uniqueFbufs deduplicates the fbufs behind a segment list.
-func uniqueFbufs(segs []Seg) []*core.Fbuf {
-	var out []*core.Fbuf
-	seen := map[*core.Fbuf]bool{}
-	for _, s := range segs {
-		if s.F != nil && !seen[s.F] {
-			seen[s.F] = true
-			out = append(out, s.F)
+// layout returns m's fbufs as its data fbufs (every fbuf its segments
+// reference, once each, in segment order) followed by its node fbufs, and
+// the number of data fbufs. A built message keeps its fbufs in that order.
+// An Opened view keeps the fbufs its domain holds in traversal order, so
+// its layout is gathered afresh and may name data fbufs it does not hold.
+func (m *Msg) layout() ([]*core.Fbuf, int) {
+	if m.ndata >= 0 {
+		return m.fbufs, m.ndata
+	}
+	l := appendData(nil, m.segs)
+	n := len(l)
+	for _, f := range m.fbufs {
+		if !slices.Contains(l[:n], f) {
+			l = append(l, f)
 		}
 	}
-	return out
+	return l, n
+}
+
+// appendData appends the fbufs behind segs to dst, each once, in segment
+// order.
+func appendData(dst []*core.Fbuf, segs []Seg) []*core.Fbuf {
+	for _, s := range segs {
+		if s.F != nil && !slices.Contains(dst, s.F) {
+			dst = append(dst, s.F)
+		}
+	}
+	return dst
 }
 
 func totalLen(segs []Seg) int {

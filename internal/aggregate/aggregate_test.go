@@ -23,7 +23,7 @@ type rig struct {
 	dst *domain.Domain
 }
 
-func newRig(t *testing.T) *rig {
+func newRig(t testing.TB) *rig {
 	t.Helper()
 	clk := &simtime.Clock{}
 	sys := vm.NewSystem(machine.DecStation5000(), 8192, vm.ClockSink{Clock: clk})
@@ -38,7 +38,7 @@ func newRig(t *testing.T) *rig {
 	return r
 }
 
-func (r *rig) ctx(t *testing.T, integrated bool, fbufPages int) *Ctx {
+func (r *rig) ctx(t testing.TB, integrated bool, fbufPages int) *Ctx {
 	t.Helper()
 	p, err := r.mgr.NewPath("t", core.CachedVolatile(), fbufPages, r.src, r.dst)
 	if err != nil {

@@ -1,8 +1,9 @@
 package aggregate
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"fbufs/internal/core"
 	"fbufs/internal/domain"
@@ -36,11 +37,18 @@ type Ctx struct {
 	// steady-state editing path stays allocation-free (a Ctx belongs to one
 	// layer in one domain; nothing here is shared). Not sync.Pool: pool
 	// behavior must not depend on goroutine identity or GC timing.
-	have, need map[*core.Fbuf]int
-	sortBuf    []*core.Fbuf
-	batchBuf   []*core.Fbuf
-	preBuf     map[*core.Fbuf]int
-	seenBuf    map[*core.Fbuf]bool
+	refs     []ref
+	added    []*core.Fbuf
+	nodeBuf  []*core.Fbuf
+	leafBuf  []vm.VA
+	batchBuf []*core.Fbuf
+}
+
+// ref is one line of an edit's reference balance: references to f that the
+// edit's inputs bring (have) and that its outputs must hold (need).
+type ref struct {
+	f          *core.Fbuf
+	have, need int
 }
 
 // NewCtx builds a context over a data path. In integrated mode a companion
@@ -121,17 +129,6 @@ func (c *Ctx) allocDataBatch(k int) ([]*core.Fbuf, error) {
 	return bufs, nil
 }
 
-// takePre returns the Ctx's scratch pre-reference map (cleared), used by
-// the message constructors to seed rebalance with allocator references.
-func (c *Ctx) takePre() map[*core.Fbuf]int {
-	if c.preBuf == nil {
-		c.preBuf = map[*core.Fbuf]int{}
-	} else {
-		clear(c.preBuf)
-	}
-	return c.preBuf
-}
-
 // Close releases the arena's reference on the current node fbuf. Call when
 // the context's layer shuts down.
 func (c *Ctx) Close() error {
@@ -162,42 +159,54 @@ func (c *Ctx) endOp() {
 
 // rebalance moves fbuf references from consumed input messages to output
 // messages: for every unique fbuf, the outputs must end up holding exactly
-// one reference each. preHave seeds references the caller already owns
+// one reference each. pre lists references the caller already owns
 // (freshly allocated data fbufs carry their allocator reference).
-func (c *Ctx) rebalance(preHave map[*core.Fbuf]int, inputs, outputs []*Msg) error {
-	if c.have == nil {
-		c.have = map[*core.Fbuf]int{}
-		c.need = map[*core.Fbuf]int{}
-	}
-	have, need := c.have, c.need
-	defer func() {
-		clear(have)
-		clear(need)
-	}()
-	for f, n := range preHave {
-		have[f] += n
+func (c *Ctx) rebalance(pre []*core.Fbuf, inputs, outputs []*Msg) error {
+	refs := c.refs[:0]
+	for _, f := range pre {
+		refs = append(refs, ref{f: f, have: 1})
 	}
 	for _, in := range inputs {
 		if in.consumed {
 			return ErrConsumed
 		}
 		for _, f := range in.fbufs {
-			have[f]++
+			refs = append(refs, ref{f: f, have: 1})
 		}
 	}
 	for _, out := range outputs {
 		for _, f := range out.fbufs {
-			need[f]++
+			refs = append(refs, ref{f: f, need: 1})
 		}
 	}
+	c.refs = refs
+	return c.apply(refs, inputs)
+}
+
+// apply settles a reference balance and consumes the inputs. Lines for the
+// same fbuf are summed; each fbuf then takes need-have new references or
+// drops have-need. Ref-count ops emit trace events and charge the simulated
+// clock, so they run in region-VA order, the stable identity of an fbuf
+// within one manager.
+func (c *Ctx) apply(refs []ref, inputs []*Msg) error {
+	slices.SortFunc(refs, func(x, y ref) int { return cmp.Compare(x.f.Base, y.f.Base) })
+	n := 0
+	for _, r := range refs {
+		if n > 0 && refs[n-1].f == r.f {
+			refs[n-1].have += r.have
+			refs[n-1].need += r.need
+			continue
+		}
+		refs[n] = r
+		n++
+	}
+	refs = refs[:n]
 	// Take new references first (every fbuf needing extras has >=1 live
-	// reference: an input's, the preHave allocator's, or the arena's).
-	// Iterate in VA order: ref-count ops emit trace events and charge the
-	// simulated clock, and map order over *Fbuf keys would leak Go's map
-	// randomization into otherwise deterministic runs.
-	for _, f := range c.sortedFbufs(need) {
-		for i := have[f]; i < need[f]; i++ {
-			if err := c.Mgr.DupRef(f, c.Dom); err != nil {
+	// reference: an input's, the caller's allocator reference, or the
+	// arena's).
+	for _, r := range refs {
+		for i := r.have; i < r.need; i++ {
+			if err := c.Mgr.DupRef(r.f, c.Dom); err != nil {
 				return fmt.Errorf("aggregate: rebalance dupref: %w", err)
 			}
 		}
@@ -205,28 +214,15 @@ func (c *Ctx) rebalance(preHave map[*core.Fbuf]int, inputs, outputs []*Msg) erro
 	for _, in := range inputs {
 		in.consumed = true
 	}
-	for _, f := range c.sortedFbufs(have) {
-		for i := need[f]; i < have[f]; i++ {
-			if err := c.Mgr.Free(f, c.Dom); err != nil {
+	for _, r := range refs {
+		for i := r.need; i < r.have; i++ {
+			if err := c.Mgr.Free(r.f, c.Dom); err != nil {
 				return fmt.Errorf("aggregate: rebalance free: %w", err)
 			}
 		}
 	}
 	c.endOp()
 	return nil
-}
-
-// sortedFbufs returns the map's keys ordered by region VA, the stable
-// identity of an fbuf within one manager. The returned slice is the Ctx's
-// scratch buffer: valid until the next call.
-func (c *Ctx) sortedFbufs(m map[*core.Fbuf]int) []*core.Fbuf {
-	fs := c.sortBuf[:0]
-	for f := range m {
-		fs = append(fs, f)
-	}
-	sort.Slice(fs, func(i, j int) bool { return fs[i].Base < fs[j].Base })
-	c.sortBuf = fs
-	return fs
 }
 
 // NewData allocates fbufs for data, writes it, and returns the message.
@@ -243,9 +239,7 @@ func (c *Ctx) NewData(data []byte) (*Msg, error) {
 		return nil, err
 	}
 	var segs []Seg
-	pre := c.takePre()
 	for i, f := range bufs {
-		pre[f] = 1
 		off := i * cap
 		n := len(data) - off
 		if n > cap {
@@ -256,7 +250,7 @@ func (c *Ctx) NewData(data []byte) (*Msg, error) {
 		}
 		segs = append(segs, Seg{F: f, VA: f.Base, N: n})
 	}
-	return c.finish(pre, nil, segs)
+	return c.finish(bufs, segs)
 }
 
 // NewTouched allocates an n-byte message writing only one word in each
@@ -275,9 +269,7 @@ func (c *Ctx) NewTouched(n int) (*Msg, error) {
 		return nil, err
 	}
 	var segs []Seg
-	pre := c.takePre()
 	for i, f := range bufs {
-		pre[f] = 1
 		off := i * cap
 		take := n - off
 		if take > cap {
@@ -290,7 +282,7 @@ func (c *Ctx) NewTouched(n int) (*Msg, error) {
 		}
 		segs = append(segs, Seg{F: f, VA: f.Base, N: take})
 	}
-	return c.finish(pre, nil, segs)
+	return c.finish(bufs, segs)
 }
 
 // WrapFbuf builds a message over bytes already present in an fbuf the
@@ -303,38 +295,88 @@ func (c *Ctx) WrapFbuf(f *core.Fbuf, off, n int) (*Msg, error) {
 	if !f.HeldBy(c.Dom) {
 		return nil, core.ErrNotHolder
 	}
-	pre := c.takePre()
-	pre[f] = 1
 	var segs []Seg
 	if n > 0 {
 		segs = []Seg{{F: f, VA: f.Base + vm.VA(off), N: n}}
 	}
-	return c.finish(pre, nil, segs)
+	return c.finish([]*core.Fbuf{f}, segs)
 }
 
 // Join concatenates a then b, consuming both. In integrated mode this
 // writes a single pair node referencing the two existing DAG roots.
+//
+// The result takes over a's segment and fbuf arrays and appends b's, and
+// every fbuf it keeps in a's place keeps a's reference. So only b's side
+// enters the balance handed to apply: b's references, the fbufs b adds to
+// the result, and the few of a's that the result moves or drops.
+// Left-folding n fragments (IP reassembly) therefore allocates O(n).
 func (c *Ctx) Join(a, b *Msg) (*Msg, error) {
 	if a.consumed || b.consumed {
 		return nil, ErrConsumed
 	}
-	m := &Msg{mgr: c.Mgr, integrated: c.integrated}
-	m.segs = append(append(m.segs, a.segs...), b.segs...)
-	m.length = a.length + b.length
-	m.fbufs = c.uniqueFbufsInto(m.fbufs, m.segs)
+	m := &Msg{mgr: c.Mgr, integrated: c.integrated, length: a.length + b.length}
+	var node *core.Fbuf
 	if c.integrated {
 		// Keep referencing the operands' node fbufs: their DAGs are
 		// now our subtrees.
-		root, nodeFbufs, err := c.joinRoot(a.rootVA, b.rootVA, m.length)
+		root, f, err := c.joinRoot(a.rootVA, b.rootVA, m.length)
 		if err != nil {
 			return nil, err
 		}
-		m.rootVA = root
-		m.fbufs = mergeFbufSets(m.fbufs, nodeFbufsOf(a), nodeFbufsOf(b), nodeFbufs)
+		m.rootVA, node = root, f
 	}
-	if err := c.rebalance(nil, []*Msg{a, b}, []*Msg{m}); err != nil {
+	al, an := a.layout()
+	bl, bn := b.layout()
+	aData, aNodes := al[:an], al[an:]
+	refs, added := c.refs[:0], c.added[:0]
+	for _, f := range b.fbufs {
+		refs = append(refs, ref{f: f, have: 1})
+	}
+	if a.ndata < 0 {
+		// Data an Opened view's domain was not granted.
+		for _, f := range aData {
+			if !slices.Contains(a.fbufs, f) {
+				refs = append(refs, ref{f: f, need: 1})
+			}
+		}
+	}
+	for _, f := range bl[:bn] {
+		if !slices.Contains(aData, f) {
+			added = append(added, f)
+			refs = append(refs, ref{f: f, need: 1})
+		}
+	}
+	nNew := len(added)
+	// A node fbuf of a moves when b uses it as data; private mode drops
+	// node fbufs.
+	moved := func(f *core.Fbuf) bool { return !c.integrated || slices.Contains(added[:nNew], f) }
+	for _, f := range aNodes {
+		if moved(f) {
+			refs = append(refs, ref{f: f, have: 1})
+		}
+	}
+	if c.integrated {
+		for _, f := range bl[bn:] {
+			if !slices.Contains(aNodes, f) && !slices.Contains(aData, f) {
+				added = append(added, f)
+				refs = append(refs, ref{f: f, need: 1})
+			}
+		}
+		if !slices.Contains(aNodes, node) && !slices.Contains(added, node) && !slices.Contains(aData, node) {
+			added = append(added, node)
+			refs = append(refs, ref{f: node, need: 1})
+		}
+	}
+	c.refs, c.added = refs, added
+	if err := c.apply(refs, []*Msg{a, b}); err != nil {
 		return nil, err
 	}
+	// a is consumed: its arrays are the result's to extend.
+	m.segs = append(a.segs, b.segs...)
+	m.ndata = an + nNew
+	fbufs := slices.Insert(al, an, added[:nNew]...)
+	kept := slices.DeleteFunc(fbufs[m.ndata:], moved)
+	m.fbufs = append(fbufs[:m.ndata+len(kept)], added[nNew:]...)
 	return m, nil
 }
 
@@ -427,37 +469,25 @@ func (c *Ctx) Pop(m *Msg, n int) ([]byte, *Msg, error) {
 	return hdr, rest, nil
 }
 
-// uniqueFbufsInto appends the deduplicated fbufs behind a segment list to
-// dst, using the Ctx's scratch seen-set instead of allocating one per call.
-func (c *Ctx) uniqueFbufsInto(dst []*core.Fbuf, segs []Seg) []*core.Fbuf {
-	if c.seenBuf == nil {
-		c.seenBuf = map[*core.Fbuf]bool{}
-	} else {
-		clear(c.seenBuf)
-	}
-	for _, s := range segs {
-		if s.F != nil && !c.seenBuf[s.F] {
-			c.seenBuf[s.F] = true
-			dst = append(dst, s.F)
-		}
-	}
-	return dst
-}
-
 // fromSegs builds a message over a segment list, writing a fresh DAG chain
 // in integrated mode. Reference accounting is the caller's job (rebalance).
 func (c *Ctx) fromSegs(segs []Seg) (*Msg, error) {
 	m := &Msg{mgr: c.Mgr, integrated: c.integrated}
 	m.segs = segs
 	m.length = totalLen(segs)
-	m.fbufs = c.uniqueFbufsInto(m.fbufs, segs)
+	m.fbufs = appendData(nil, segs)
+	m.ndata = len(m.fbufs)
 	if c.integrated {
-		root, nodeFbufs, err := c.buildRoot(segs, m.length)
+		root, nodes, err := c.buildRoot(segs)
 		if err != nil {
 			return nil, err
 		}
 		m.rootVA = root
-		m.fbufs = mergeFbufSets(m.fbufs, nodeFbufs)
+		for _, f := range nodes {
+			if !slices.Contains(m.fbufs, f) {
+				m.fbufs = append(m.fbufs, f)
+			}
+		}
 	}
 	if s := c.Mgr.Sanitizer(); s != nil {
 		if err := c.validateMsg(m); err != nil {
@@ -468,46 +498,13 @@ func (c *Ctx) fromSegs(segs []Seg) (*Msg, error) {
 }
 
 // finish completes message construction from freshly allocated fbufs.
-func (c *Ctx) finish(pre map[*core.Fbuf]int, inputs []*Msg, segs []Seg) (*Msg, error) {
+func (c *Ctx) finish(pre []*core.Fbuf, segs []Seg) (*Msg, error) {
 	m, err := c.fromSegs(segs)
 	if err != nil {
 		return nil, err
 	}
-	if err := c.rebalance(pre, inputs, []*Msg{m}); err != nil {
+	if err := c.rebalance(pre, nil, []*Msg{m}); err != nil {
 		return nil, err
 	}
 	return m, nil
-}
-
-// nodeFbufsOf extracts the fbufs in m's set that are not data fbufs — i.e.
-// node-only fbufs that must stay referenced when roots are reused.
-func nodeFbufsOf(m *Msg) []*core.Fbuf {
-	data := map[*core.Fbuf]bool{}
-	for _, s := range m.segs {
-		if s.F != nil {
-			data[s.F] = true
-		}
-	}
-	var out []*core.Fbuf
-	for _, f := range m.fbufs {
-		if !data[f] {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-// mergeFbufSets unions fbuf lists preserving order and uniqueness.
-func mergeFbufSets(sets ...[]*core.Fbuf) []*core.Fbuf {
-	var out []*core.Fbuf
-	seen := map[*core.Fbuf]bool{}
-	for _, set := range sets {
-		for _, f := range set {
-			if !seen[f] {
-				seen[f] = true
-				out = append(out, f)
-			}
-		}
-	}
-	return out
 }

@@ -3,10 +3,17 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
+
+// builtReport runs every experiment once per test binary; the tests that
+// need the full report only read it.
+var builtReport = sync.OnceValues(BuildReport)
 
 func TestSteadyStateCounters(t *testing.T) {
 	c, err := steadyStateCounters()
@@ -53,7 +60,7 @@ func TestBuildReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every paper experiment")
 	}
-	rep, err := BuildReport()
+	rep, err := builtReport()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,12 +85,60 @@ func TestBuildReport(t *testing.T) {
 	}
 }
 
+// TestReportMatchesCheckedIn is the refactor oracle: every modelled number
+// is deterministic, so the report built now must equal the checked-in
+// BENCH_report.json key for key and value for value. Only the producing
+// command's flags may differ. A change that means to move a modelled number
+// regenerates the file with `go run ./cmd/fbufbench -json`.
+func TestReportMatchesCheckedIn(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every paper experiment")
+	}
+	checkedIn, err := os.ReadFile(filepath.Join("..", "..", "BENCH_report.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := builtReport()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := rep.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want, got := withoutFlags(t, checkedIn), withoutFlags(t, buf.Bytes())
+	for i := range min(len(want), len(got)) {
+		if got[i] != want[i] {
+			t.Fatalf("report differs from BENCH_report.json at line %d:\n got: %s\nwant: %s", i+1, got[i], want[i])
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("report has %d lines, BENCH_report.json %d", len(got), len(want))
+	}
+}
+
+// withoutFlags re-renders a JSON report with its "flags" member removed,
+// one line per member, in encoding/json's sorted key order.
+func withoutFlags(t *testing.T, data []byte) []string {
+	t.Helper()
+	var doc map[string]any
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	delete(doc, "flags")
+	out, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return strings.Split(string(out), "\n")
+}
+
 // TestCompareGate exercises the one regression gate the way CI runs it:
 // the full report gates cleanly against itself and against a JSON round
 // trip of itself, while a 20% rise of one p99 in any gated experiment, a
 // missing p99 key, and a missing experiment each fail it, naming the key.
 func TestCompareGate(t *testing.T) {
-	rep, err := BuildReport()
+	rep, err := builtReport()
 	if err != nil {
 		t.Fatal(err)
 	}

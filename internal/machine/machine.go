@@ -275,8 +275,8 @@ const TLBEntries = 64
 type TLB struct {
 	mu       sync.Mutex
 	capacity int
-	present  map[tlbKey]int // value: slot index for eviction bookkeeping
-	order    []tlbKey       // FIFO of resident keys
+	present  map[tlbKey]struct{}
+	order    []tlbKey // FIFO of resident keys, oldest first
 	misses   uint64
 	hits     uint64
 }
@@ -292,7 +292,7 @@ func NewTLB(capacity int) *TLB {
 	if capacity <= 0 {
 		capacity = TLBEntries
 	}
-	return &TLB{capacity: capacity, present: make(map[tlbKey]int)}
+	return &TLB{capacity: capacity, present: make(map[tlbKey]struct{})}
 }
 
 // Touch records an access to (asid, vpn) and reports whether it missed.
@@ -306,11 +306,9 @@ func (t *TLB) Touch(asid int, vpn uint64) (missed bool) {
 	}
 	t.misses++
 	if len(t.order) >= t.capacity {
-		victim := t.order[0]
-		t.order = t.order[1:]
-		delete(t.present, victim)
+		t.evictOldest()
 	}
-	t.present[k] = len(t.order)
+	t.present[k] = struct{}{}
 	t.order = append(t.order, k)
 	return true
 }
@@ -353,7 +351,7 @@ func (t *TLB) InvalidateASID(asid int) {
 func (t *TLB) Flush() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.present = make(map[tlbKey]int)
+	clear(t.present)
 	t.order = t.order[:0]
 }
 
@@ -370,8 +368,13 @@ func (t *TLB) Pollute(n int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for i := 0; i < n && len(t.order) > 0; i++ {
-		victim := t.order[0]
-		t.order = t.order[1:]
-		delete(t.present, victim)
+		t.evictOldest()
 	}
+}
+
+// evictOldest drops the oldest entry, shifting the FIFO down in place so
+// its array is reused rather than regrown.
+func (t *TLB) evictOldest() {
+	delete(t.present, t.order[0])
+	t.order = t.order[:copy(t.order, t.order[1:])]
 }

@@ -174,3 +174,19 @@ func TestTLBNeverExceedsCapacity(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestTLBTouchAllocationFree: a miss evicts the oldest entry in place, so a
+// full TLB takes misses without allocating.
+func TestTLBTouchAllocationFree(t *testing.T) {
+	tlb := NewTLB(0)
+	vpn := uint64(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 4*TLBEntries; i++ {
+			tlb.Touch(1, vpn)
+			vpn++
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocations per %d misses, want 0", allocs, 4*TLBEntries)
+	}
+}

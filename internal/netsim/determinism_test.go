@@ -43,53 +43,12 @@ func TestDeterminism(t *testing.T) {
 // corruption, duplicate, retransmission, and backoff lands at the same
 // simulated instant in the same order.
 func TestDeterminismWithFaults(t *testing.T) {
-	run := func() (Result, []byte) {
-		plane := faults.NewPlane(99)
-		ab := plane.Link(LinkAB)
-		ab.DropPerMillion = 40000
-		ab.CorruptPerMillion = 20000
-		ab.DupPerMillion = 10000
-		ab.ReorderPerMillion = 20000
-		ba := plane.Link(LinkBA)
-		ba.DropPerMillion = 25000
-		ab.AddPartition(simtime.MS(5), simtime.MS(12))
-		ba.AddPartition(simtime.MS(5), simtime.MS(12))
-
-		o := obs.New(1 << 16)
-		e, err := NewE2E(Config{
-			Opts:     cachedVolatile(),
-			PDUBytes: 16 * 1024,
-			MsgBytes: 48 * 1024,
-			Count:    10,
-			Window:   4,
-			UseSWP:   true,
-			Verify:   true,
-			Faults:   plane,
-			Obs:      o,
-			Frames:   8192,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.A.SWP.SeedJitter(12345)
-		e.B.SWP.SeedJitter(67890)
-		res, err := e.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var trace bytes.Buffer
-		if err := o.Tracer.WriteChromeTrace(&trace); err != nil {
-			t.Fatal(err)
-		}
-		return res, trace.Bytes()
-	}
-
-	first, firstTrace := run()
+	first, firstTrace := runFaultedSWP(t)
 	if first.Delivered != 10 {
 		t.Fatalf("delivered %d of 10", first.Delivered)
 	}
 	for i := 0; i < 2; i++ {
-		again, againTrace := run()
+		again, againTrace := runFaultedSWP(t)
 		if again != first {
 			t.Fatalf("run %d result diverged: %+v vs %+v", i, again, first)
 		}
@@ -98,6 +57,51 @@ func TestDeterminismWithFaults(t *testing.T) {
 				i, len(againTrace), len(firstTrace))
 		}
 	}
+}
+
+// runFaultedSWP runs ten 48 KB messages over SWP through a seeded fault
+// plane (drops, corruption, duplicates, reordering and a partition on both
+// links) and returns the result with its Chrome trace.
+func runFaultedSWP(t *testing.T) (Result, []byte) {
+	t.Helper()
+	plane := faults.NewPlane(99)
+	ab := plane.Link(LinkAB)
+	ab.DropPerMillion = 40000
+	ab.CorruptPerMillion = 20000
+	ab.DupPerMillion = 10000
+	ab.ReorderPerMillion = 20000
+	ba := plane.Link(LinkBA)
+	ba.DropPerMillion = 25000
+	ab.AddPartition(simtime.MS(5), simtime.MS(12))
+	ba.AddPartition(simtime.MS(5), simtime.MS(12))
+
+	o := obs.New(1 << 16)
+	e, err := NewE2E(Config{
+		Opts:     cachedVolatile(),
+		PDUBytes: 16 * 1024,
+		MsgBytes: 48 * 1024,
+		Count:    10,
+		Window:   4,
+		UseSWP:   true,
+		Verify:   true,
+		Faults:   plane,
+		Obs:      o,
+		Frames:   8192,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.A.SWP.SeedJitter(12345)
+	e.B.SWP.SeedJitter(67890)
+	res, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trace bytes.Buffer
+	if err := o.Tracer.WriteChromeTrace(&trace); err != nil {
+		t.Fatal(err)
+	}
+	return res, trace.Bytes()
 }
 
 // TestWindowOneSerializes: with a window of one, each message waits for

@@ -66,20 +66,6 @@ type Driver struct {
 	// TxVCI stamps outgoing PDUs.
 	TxVCI VCI
 
-	// AutoInstall makes the driver add a cached path for a previously
-	// unseen VCI after its first (uncached) PDU, keeping the table at the
-	// 16 most recently used circuits. On by default, as in the paper.
-	AutoInstall bool
-
-	// RxBatch, when positive, keeps up to RxBatch preallocated reassembly
-	// fbufs per cached circuit, refilled from the path in one AllocBatch
-	// call — the driver pays the allocator lock once per batch instead of
-	// once per PDU, the preallocation discipline of section 5.2 taken to
-	// its batched conclusion. Zero (the default) allocates per PDU,
-	// preserving the facility's historical event and fault schedules
-	// exactly. Stashes drain through FreeBatch on eviction and Close.
-	RxBatch int
-
 	// CPUOffset reports metered CPU time consumed so far in the current
 	// task (set by the netsim host); zero when unset.
 	CPUOffset func() simtime.Duration
@@ -107,63 +93,28 @@ type Driver struct {
 type vciEntry struct {
 	path *core.DataPath
 	ctx  *aggregate.Ctx
-	// stash holds live, preallocated reassembly fbufs (RxBatch mode).
-	stash []*core.Fbuf
-}
-
-// rxAlloc returns the next reassembly fbuf for a cached circuit: straight
-// from the path in the default mode, from the circuit's batched stash
-// (refilling it with one AllocBatch when empty) in RxBatch mode.
-func (d *Driver) rxAlloc(e *vciEntry) (*core.Fbuf, error) {
-	if d.RxBatch <= 0 {
-		return e.path.Alloc()
-	}
-	if len(e.stash) == 0 {
-		bufs := make([]*core.Fbuf, d.RxBatch)
-		n, err := e.path.AllocBatch(bufs)
-		if n == 0 {
-			return nil, err
-		}
-		e.stash = bufs[:n]
-	}
-	// Pop in allocation order so PDU-to-buffer assignment matches a
-	// per-PDU allocation sequence.
-	f := e.stash[0]
-	e.stash = e.stash[1:]
-	return f, nil
-}
-
-// drainStash returns a circuit's preallocated fbufs to its path in one
-// batched free (eviction and driver shutdown).
-func (d *Driver) drainStash(e *vciEntry) error {
-	if len(e.stash) == 0 {
-		return nil
-	}
-	err := d.env.Mgr.FreeBatch(e.stash, d.Dom())
-	e.stash = nil
-	return err
 }
 
 // NewDriver creates the driver in the kernel domain. rxDoms is the
 // sequence of domains incoming data traverses (kernel first); rxPages
 // sizes the reassembly buffers (ceil of max wire PDU).
 func NewDriver(env *xkernel.Env, opts core.Options, rxDoms []*domain.Domain, rxPages int) *Driver {
-	d := &Driver{
-		Base:        xkernel.NewBase("osiris", env.Reg.Kernel()),
-		env:         env,
-		vcis:        make(map[VCI]*vciEntry),
-		rxOpts:      opts,
-		rxDoms:      rxDoms,
-		rxPages:     rxPages,
-		AutoInstall: true,
-		CPUOffset:   func() simtime.Duration { return 0 },
+	return &Driver{
+		Base:      xkernel.NewBase("osiris", env.Reg.Kernel()),
+		env:       env,
+		vcis:      make(map[VCI]*vciEntry),
+		rxOpts:    opts,
+		rxDoms:    rxDoms,
+		rxPages:   rxPages,
+		CPUOffset: func() simtime.Duration { return 0 },
 	}
-	return d
 }
 
 // Push gathers the PDU's bytes by DMA (no CPU data touching: the board is
-// a bus master reading the fbufs' frames directly) and queues it for
-// transmission, then releases the kernel's buffer references.
+// a bus master reading the fbufs' frames directly) into one wire buffer
+// and queues it for transmission, then releases the kernel's buffer
+// references. The copy stays: once freed, the frames go back to the LIFO
+// fbuf cache and are rewritten while the PDU is still on the wire.
 func (d *Driver) Push(m *aggregate.Msg) error {
 	o := d.env.Sys.Obs
 	if o != nil {
@@ -171,19 +122,17 @@ func (d *Driver) Push(m *aggregate.Msg) error {
 		defer o.SpanEnd()
 	}
 	d.env.Sys.Sink().Charge(d.env.Sys.Cost.DriverPerPDU)
-	data := make([]byte, 0, m.Len())
+	data := make([]byte, m.Len())
+	off := 0
 	for _, s := range m.Segs() {
-		if s.F == nil {
-			// Absence of data (volatile dangling reference): wire
-			// carries zeros.
-			data = append(data, make([]byte, s.N)...)
-			continue
+		// A nil fbuf is absence of data (volatile dangling reference):
+		// the wire carries zeros.
+		if s.F != nil {
+			if err := s.F.DMARead(int(s.VA-s.F.Base), data[off:off+s.N]); err != nil {
+				return err
+			}
 		}
-		chunk := make([]byte, s.N)
-		if err := s.F.DMARead(int(s.VA-s.F.Base), chunk); err != nil {
-			return err
-		}
-		data = append(data, chunk...)
+		off += s.N
 	}
 	d.txq = append(d.txq, TxPDU{
 		VCI: d.TxVCI, Data: data, CPUOffset: d.CPUOffset(),
@@ -221,9 +170,6 @@ func (d *Driver) AddVCI(v VCI) error {
 		d.lru = d.lru[1:]
 		e := d.vcis[victim]
 		delete(d.vcis, victim)
-		if err := d.drainStash(e); err != nil {
-			return err
-		}
 		if err := e.ctx.Close(); err != nil {
 			return err
 		}
@@ -298,7 +244,7 @@ func (d *Driver) Receive(v VCI, data []byte) error {
 	var m *aggregate.Msg
 	if e, ok := d.vcis[v]; ok && pages <= e.path.FbufPages() {
 		d.touchVCI(v)
-		f, err := d.rxAlloc(e)
+		f, err := e.path.Alloc()
 		if err != nil {
 			return err
 		}
@@ -333,7 +279,7 @@ func (d *Driver) Receive(v VCI, data []byte) error {
 		// The table tracks the 16 most recently used data paths: traffic
 		// on a new circuit earns it a cached allocator (possibly evicting
 		// the LRU one). Oversized PDUs stay uncached.
-		if d.AutoInstall && pages <= d.rxPages {
+		if pages <= d.rxPages {
 			if err := d.AddVCI(v); err != nil {
 				return err
 			}
@@ -350,9 +296,6 @@ func (d *Driver) Close() error {
 	for _, v := range d.lru {
 		e := d.vcis[v]
 		delete(d.vcis, v)
-		if err := d.drainStash(e); err != nil {
-			return err
-		}
 		if err := e.ctx.Close(); err != nil {
 			return err
 		}

@@ -76,14 +76,14 @@ type Completion struct {
 // Stats counts ring activity. Doorbells is the only charged crossing; the
 // legacy path's equivalent is one charged call per transfer.
 type Stats struct {
-	Submits          uint64 // entries accepted into the submission ring
-	SubmitFallbacks  uint64 // submissions refused: ring full, caller uses IPC
-	Doorbells        uint64 // empty→non-empty with the waiter blocked (charged)
-	SpinHits         uint64 // empty→non-empty inside the waiter's spin window (free)
-	Drains           uint64 // submission-ring drain passes
-	Drained          uint64 // entries consumed by drains
-	Completions      uint64 // entries accepted into the completion ring
-	CompleteFallback uint64 // completions refused: ring full, notices delivered directly
+	Submits            uint64 // entries accepted into the submission ring
+	SubmitFallbacks    uint64 // submissions refused: ring full, caller uses IPC
+	Doorbells          uint64 // empty→non-empty with the waiter blocked (charged)
+	SpinHits           uint64 // empty→non-empty inside the waiter's spin window (free)
+	Drains             uint64 // submission-ring drain passes
+	Drained            uint64 // entries consumed by drains
+	Completions        uint64 // entries accepted into the completion ring
+	CompleteFallback   uint64 // completions refused: ring full, notices delivered directly
 	CompletionDrains   uint64 // completion-ring drain passes
 	CompletionsDrained uint64 // entries consumed by completion drains
 	NoticesCoalesced   uint64 // deallocation notices carried by completion entries
