@@ -243,18 +243,20 @@ func (m *Msg) Clone(d *domain.Domain) (*Msg, error) {
 // reference, once each, in segment order) followed by its node fbufs, and
 // the number of data fbufs. A built message keeps its fbufs in that order.
 // An Opened view keeps the fbufs its domain holds in traversal order, so
-// its layout is gathered afresh and may name data fbufs it does not hold.
-func (m *Msg) layout() ([]*core.Fbuf, int) {
+// its layout is gathered afresh into *scratch and may name data fbufs it
+// does not hold.
+func (m *Msg) layout(scratch *[]*core.Fbuf) ([]*core.Fbuf, int) {
 	if m.ndata >= 0 {
 		return m.fbufs, m.ndata
 	}
-	l := appendData(nil, m.segs)
+	l := appendData((*scratch)[:0], m.segs)
 	n := len(l)
 	for _, f := range m.fbufs {
 		if !slices.Contains(l[:n], f) {
 			l = append(l, f)
 		}
 	}
+	*scratch = l
 	return l, n
 }
 
@@ -275,26 +277,4 @@ func totalLen(segs []Seg) int {
 		n += s.N
 	}
 	return n
-}
-
-// sliceSegs returns the sub-segment-list covering [off, off+n).
-func sliceSegs(segs []Seg, off, n int) []Seg {
-	var out []Seg
-	for _, s := range segs {
-		if n == 0 {
-			break
-		}
-		if off >= s.N {
-			off -= s.N
-			continue
-		}
-		take := s.N - off
-		if take > n {
-			take = n
-		}
-		out = append(out, Seg{F: s.F, VA: s.VA + vm.VA(off), N: take})
-		n -= take
-		off = 0
-	}
-	return out
 }

@@ -42,6 +42,55 @@ type Ctx struct {
 	nodeBuf  []*core.Fbuf
 	leafBuf  []vm.VA
 	batchBuf []*core.Fbuf
+	segBuf   []Seg
+	// lists gathers fbuf lists: fromSegs's, or Join's operand layouts.
+	lists [2][]*core.Fbuf
+
+	// Bump slabs every Msg the Ctx builds, and its segment and fbuf
+	// lists, are carved from (see carve). A carve is never handed out
+	// again, so a consumed Msg stays consumed and its lists stay its own
+	// until a Join takes them over; the GC frees a slab once nothing
+	// carved from it is reachable.
+	msgSlab  []Msg
+	segSlab  []Seg
+	fbufSlab []*core.Fbuf
+}
+
+// Slab sizes, in entries. Small, so that a message held for long (a
+// retransmission buffer) pins little else.
+const (
+	msgSlabLen  = 16
+	listSlabLen = 64
+)
+
+// carve returns an empty list with capacity exactly n, cut from the front
+// of *slab, which is replaced by a fresh slab when too short; a list
+// longer than a slab gets storage of its own. Because the capacity is
+// exact, an append past it moves to new storage and never writes into the
+// next carve.
+func carve[T any](slab *[]T, n int) []T {
+	if n == 0 {
+		return nil
+	}
+	if n > listSlabLen {
+		return make([]T, 0, n)
+	}
+	if len(*slab) < n {
+		*slab = make([]T, listSlabLen)
+	}
+	l := (*slab)[:0:n]
+	*slab = (*slab)[n:]
+	return l
+}
+
+// newMsg carves a zeroed Msg from the Ctx's slab.
+func (c *Ctx) newMsg() *Msg {
+	if len(c.msgSlab) == 0 {
+		c.msgSlab = make([]Msg, msgSlabLen)
+	}
+	m := &c.msgSlab[0]
+	c.msgSlab = c.msgSlab[1:]
+	return m
 }
 
 // ref is one line of an edit's reference balance: references to f that the
@@ -238,7 +287,7 @@ func (c *Ctx) NewData(data []byte) (*Msg, error) {
 	if err != nil {
 		return nil, err
 	}
-	var segs []Seg
+	segs := carve(&c.segSlab, k)
 	for i, f := range bufs {
 		off := i * cap
 		n := len(data) - off
@@ -268,7 +317,7 @@ func (c *Ctx) NewTouched(n int) (*Msg, error) {
 	if err != nil {
 		return nil, err
 	}
-	var segs []Seg
+	segs := carve(&c.segSlab, k)
 	for i, f := range bufs {
 		off := i * cap
 		take := n - off
@@ -297,7 +346,7 @@ func (c *Ctx) WrapFbuf(f *core.Fbuf, off, n int) (*Msg, error) {
 	}
 	var segs []Seg
 	if n > 0 {
-		segs = []Seg{{F: f, VA: f.Base + vm.VA(off), N: n}}
+		segs = append(carve(&c.segSlab, 1), Seg{F: f, VA: f.Base + vm.VA(off), N: n})
 	}
 	return c.finish([]*core.Fbuf{f}, segs)
 }
@@ -309,24 +358,24 @@ func (c *Ctx) WrapFbuf(f *core.Fbuf, off, n int) (*Msg, error) {
 // every fbuf it keeps in a's place keeps a's reference. So only b's side
 // enters the balance handed to apply: b's references, the fbufs b adds to
 // the result, and the few of a's that the result moves or drops.
-// Left-folding n fragments (IP reassembly) therefore allocates O(n).
+// Left-folding n fragments (IP reassembly) therefore does O(n) work.
 func (c *Ctx) Join(a, b *Msg) (*Msg, error) {
 	if a.consumed || b.consumed {
 		return nil, ErrConsumed
 	}
-	m := &Msg{mgr: c.Mgr, integrated: c.integrated, length: a.length + b.length}
+	length := a.length + b.length
+	var root vm.VA
 	var node *core.Fbuf
 	if c.integrated {
 		// Keep referencing the operands' node fbufs: their DAGs are
 		// now our subtrees.
-		root, f, err := c.joinRoot(a.rootVA, b.rootVA, m.length)
-		if err != nil {
+		var err error
+		if root, node, err = c.joinRoot(a.rootVA, b.rootVA, length); err != nil {
 			return nil, err
 		}
-		m.rootVA, node = root, f
 	}
-	al, an := a.layout()
-	bl, bn := b.layout()
+	al, an := a.layout(&c.lists[0])
+	bl, bn := b.layout(&c.lists[1])
 	aData, aNodes := al[:an], al[an:]
 	refs, added := c.refs[:0], c.added[:0]
 	for _, f := range b.fbufs {
@@ -371,10 +420,23 @@ func (c *Ctx) Join(a, b *Msg) (*Msg, error) {
 	if err := c.apply(refs, []*Msg{a, b}); err != nil {
 		return nil, err
 	}
-	// a is consumed: its arrays are the result's to extend.
-	m.segs = append(a.segs, b.segs...)
-	m.ndata = an + nNew
-	fbufs := slices.Insert(al, an, added[:nNew]...)
+	// a is consumed: its carves are the result's to extend in place
+	// while they have room. Past that, the lists move to carves twice
+	// their length, so a left fold copies each entry amortised O(1)
+	// times.
+	m := c.newMsg()
+	*m = Msg{mgr: c.Mgr, integrated: c.integrated, rootVA: root, length: length, ndata: an + nNew}
+	segs := a.segs
+	if n := len(a.segs) + len(b.segs); n > cap(segs) {
+		segs = append(carve(&c.segSlab, 2*n), a.segs...)
+	}
+	m.segs = append(segs, b.segs...)
+	fbufs := al
+	if n := len(al) + len(added); a.ndata < 0 || n > cap(fbufs) {
+		// An Opened view's layout is Ctx scratch.
+		fbufs = append(carve(&c.fbufSlab, 2*n), al...)
+	}
+	fbufs = slices.Insert(fbufs, an, added[:nNew]...)
 	kept := slices.DeleteFunc(fbufs[m.ndata:], moved)
 	m.fbufs = append(fbufs[:m.ndata+len(kept)], added[nNew:]...)
 	return m, nil
@@ -391,8 +453,8 @@ func (c *Ctx) Split(m *Msg, off int) (*Msg, *Msg, error) {
 	if off < 0 || off > m.length {
 		return nil, nil, fmt.Errorf("%w: split at %d of %d", ErrRange, off, m.length)
 	}
-	s1 := sliceSegs(m.segs, 0, off)
-	s2 := sliceSegs(m.segs, off, m.length-off)
+	s1 := c.sliceSegs(m.segs, 0, off)
+	s2 := c.sliceSegs(m.segs, off, m.length-off)
 	a, err := c.fromSegs(s1)
 	if err != nil {
 		return nil, nil, err
@@ -415,7 +477,7 @@ func (c *Ctx) ClipHead(m *Msg, n int) (*Msg, error) {
 	if n < 0 || n > m.length {
 		return nil, fmt.Errorf("%w: clip %d of %d", ErrRange, n, m.length)
 	}
-	out, err := c.fromSegs(sliceSegs(m.segs, n, m.length-n))
+	out, err := c.fromSegs(c.sliceSegs(m.segs, n, m.length-n))
 	if err != nil {
 		return nil, err
 	}
@@ -433,7 +495,7 @@ func (c *Ctx) ClipTail(m *Msg, n int) (*Msg, error) {
 	if n < 0 || n > m.length {
 		return nil, fmt.Errorf("%w: clip %d of %d", ErrRange, n, m.length)
 	}
-	out, err := c.fromSegs(sliceSegs(m.segs, 0, m.length-n))
+	out, err := c.fromSegs(c.sliceSegs(m.segs, 0, m.length-n))
 	if err != nil {
 		return nil, err
 	}
@@ -469,25 +531,35 @@ func (c *Ctx) Pop(m *Msg, n int) ([]byte, *Msg, error) {
 	return hdr, rest, nil
 }
 
-// fromSegs builds a message over a segment list, writing a fresh DAG chain
-// in integrated mode. Reference accounting is the caller's job (rebalance).
+// fromSegs builds a message over a segment list carved from the Ctx,
+// writing a fresh DAG chain in integrated mode. Reference accounting is
+// the caller's job (rebalance).
 func (c *Ctx) fromSegs(segs []Seg) (*Msg, error) {
-	m := &Msg{mgr: c.Mgr, integrated: c.integrated}
-	m.segs = segs
-	m.length = totalLen(segs)
-	m.fbufs = appendData(nil, segs)
-	m.ndata = len(m.fbufs)
+	fbufs := appendData(c.lists[0][:0], segs)
+	ndata := len(fbufs)
+	var root vm.VA
 	if c.integrated {
-		root, nodes, err := c.buildRoot(segs)
-		if err != nil {
+		var nodes []*core.Fbuf
+		var err error
+		if root, nodes, err = c.buildRoot(segs); err != nil {
 			return nil, err
 		}
-		m.rootVA = root
 		for _, f := range nodes {
-			if !slices.Contains(m.fbufs, f) {
-				m.fbufs = append(m.fbufs, f)
+			if !slices.Contains(fbufs, f) {
+				fbufs = append(fbufs, f)
 			}
 		}
+	}
+	c.lists[0] = fbufs
+	m := c.newMsg()
+	*m = Msg{
+		mgr:        c.Mgr,
+		integrated: c.integrated,
+		rootVA:     root,
+		segs:       segs,
+		fbufs:      append(carve(&c.fbufSlab, len(fbufs)), fbufs...),
+		ndata:      ndata,
+		length:     totalLen(segs),
 	}
 	if s := c.Mgr.Sanitizer(); s != nil {
 		if err := c.validateMsg(m); err != nil {
@@ -507,4 +579,28 @@ func (c *Ctx) finish(pre []*core.Fbuf, segs []Seg) (*Msg, error) {
 		return nil, err
 	}
 	return m, nil
+}
+
+// sliceSegs returns the sub-segment-list covering [off, off+n), carved
+// from the Ctx.
+func (c *Ctx) sliceSegs(segs []Seg, off, n int) []Seg {
+	out := c.segBuf[:0]
+	for _, s := range segs {
+		if n == 0 {
+			break
+		}
+		if off >= s.N {
+			off -= s.N
+			continue
+		}
+		take := s.N - off
+		if take > n {
+			take = n
+		}
+		out = append(out, Seg{F: s.F, VA: s.VA + vm.VA(off), N: take})
+		n -= take
+		off = 0
+	}
+	c.segBuf = out
+	return append(carve(&c.segSlab, len(out)), out...)
 }

@@ -184,108 +184,108 @@ func Open(mgr *core.Manager, d *domain.Domain, rootVA vm.VA) (*Msg, error) {
 		o.SpanBegin(span.StageMap, "aggregate", int(d.ID)+mgr.Sys.TraceBase, int64(rootVA))
 		defer o.SpanEnd()
 	}
-	w := &walker{mgr: mgr, d: d, onPath: map[vm.VA]bool{}}
-	if err := w.walk(rootVA); err != nil {
-		return nil, err
+	// Depth-first, left to right, over stack scratch. The frames are the
+	// pairs on the path from the root, each waiting for or walking its
+	// right subtree: the on-path set of the cycle check. DAG depth is
+	// bounded by maxNodes, and lists longer than the scratch spill to
+	// the heap.
+	type frame struct {
+		va, right    vm.VA
+		walkingRight bool
+	}
+	var (
+		frameBuf [32]frame
+		segBuf   [16]Seg
+		fbufBuf  [16]*core.Fbuf
+	)
+	path, segs, fbufs := frameBuf[:0], segBuf[:0], fbufBuf[:0]
+	// note adds f to the fbufs discovered, once, in discovery order.
+	note := func(f *core.Fbuf) {
+		if f != nil && !slices.Contains(fbufs, f) {
+			fbufs = append(fbufs, f)
+		}
+	}
+	count := 0
+	for va := rootVA; ; {
+		if !mgr.InRegion(va) {
+			return nil, fmt.Errorf("%w: node %#x", ErrBadPointer, uint64(va))
+		}
+		if va%nodeSize != 0 {
+			return nil, fmt.Errorf("%w: unaligned node %#x", ErrBadNode, uint64(va))
+		}
+		for _, fr := range path {
+			if fr.va == va {
+				return nil, fmt.Errorf("%w via node %#x", ErrCycle, uint64(va))
+			}
+		}
+		count++
+		if count > maxNodes {
+			return nil, ErrTooLarge
+		}
+		var enc [nodeSize]byte
+		if err := d.AS.Read(va, enc[:]); err != nil {
+			// A non-volatile configuration faults here instead of
+			// synthesizing an empty leaf; surface the violation.
+			return nil, fmt.Errorf("aggregate: node read: %w", err)
+		}
+		note(mgr.FbufAt(va))
+		kind := enc[0]
+		n := int(binary.LittleEndian.Uint32(enc[4:]))
+		a := vm.VA(binary.LittleEndian.Uint64(enc[8:]))
+		b := vm.VA(binary.LittleEndian.Uint64(enc[16:]))
+		switch kind {
+		case kindEmpty:
+		case kindLeaf:
+			if n == 0 {
+				break
+			}
+			if n < 0 || n > machine.PageSize*core.DefaultChunkPages {
+				return nil, fmt.Errorf("%w: leaf length %d", ErrBadNode, n)
+			}
+			if !mgr.InRegion(a) || !mgr.InRegion(a+vm.VA(n-1)) {
+				return nil, fmt.Errorf("%w: leaf data [%#x,+%d)", ErrBadPointer, uint64(a), n)
+			}
+			f := mgr.FbufAt(a)
+			if f != nil && !f.Contains(a+vm.VA(n-1)) {
+				return nil, fmt.Errorf("%w: leaf data crosses fbuf boundary", ErrBadNode)
+			}
+			note(f)
+			segs = append(segs, Seg{F: f, VA: a, N: n})
+		case kindPair:
+			path = append(path, frame{va: va, right: b})
+			va = a
+			continue
+		default:
+			return nil, fmt.Errorf("%w: kind %d at %#x", ErrBadNode, kind, uint64(va))
+		}
+		// The subtree at va is done: leave the pairs whose right
+		// subtrees are done too, then walk the next right subtree.
+		for len(path) > 0 && path[len(path)-1].walkingRight {
+			path = path[:len(path)-1]
+		}
+		if len(path) == 0 {
+			break
+		}
+		top := &path[len(path)-1]
+		top.walkingRight = true
+		va = top.right
 	}
 	m := &Msg{
 		mgr:        mgr,
 		integrated: true,
 		rootVA:     rootVA,
-		segs:       w.segs,
+		segs:       append([]Seg(nil), segs...),
 		ndata:      -1,
-		length:     totalLen(w.segs),
+		length:     totalLen(segs),
 	}
 	// The message's reference set is the fbufs the traversal discovered
 	// that this domain actually holds (granted by the sender's transfer).
-	var held []*core.Fbuf
-	for _, f := range w.fbufList {
+	held := fbufs[:0]
+	for _, f := range fbufs {
 		if f.HeldBy(d) {
 			held = append(held, f)
 		}
 	}
-	m.fbufs = held
+	m.fbufs = append([]*core.Fbuf(nil), held...)
 	return m, nil
-}
-
-type walker struct {
-	mgr    *core.Manager
-	d      *domain.Domain
-	onPath map[vm.VA]bool
-	count  int
-	segs   []Seg
-
-	fbufSeen map[*core.Fbuf]bool
-	fbufList []*core.Fbuf
-}
-
-func (w *walker) note(f *core.Fbuf) {
-	if f == nil {
-		return
-	}
-	if w.fbufSeen == nil {
-		w.fbufSeen = map[*core.Fbuf]bool{}
-	}
-	if !w.fbufSeen[f] {
-		w.fbufSeen[f] = true
-		w.fbufList = append(w.fbufList, f)
-	}
-}
-
-func (w *walker) walk(va vm.VA) error {
-	if !w.mgr.InRegion(va) {
-		return fmt.Errorf("%w: node %#x", ErrBadPointer, uint64(va))
-	}
-	if va%nodeSize != 0 {
-		return fmt.Errorf("%w: unaligned node %#x", ErrBadNode, uint64(va))
-	}
-	if w.onPath[va] {
-		return fmt.Errorf("%w via node %#x", ErrCycle, uint64(va))
-	}
-	w.count++
-	if w.count > maxNodes {
-		return ErrTooLarge
-	}
-	w.onPath[va] = true
-	defer delete(w.onPath, va)
-
-	var enc [nodeSize]byte
-	if err := w.d.AS.Read(va, enc[:]); err != nil {
-		// A non-volatile configuration faults here instead of
-		// synthesizing an empty leaf; surface the violation.
-		return fmt.Errorf("aggregate: node read: %w", err)
-	}
-	w.note(w.mgr.FbufAt(va))
-	kind := enc[0]
-	n := int(binary.LittleEndian.Uint32(enc[4:]))
-	a := vm.VA(binary.LittleEndian.Uint64(enc[8:]))
-	b := vm.VA(binary.LittleEndian.Uint64(enc[16:]))
-	switch kind {
-	case kindEmpty:
-		return nil
-	case kindLeaf:
-		if n == 0 {
-			return nil
-		}
-		if n < 0 || n > machine.PageSize*core.DefaultChunkPages {
-			return fmt.Errorf("%w: leaf length %d", ErrBadNode, n)
-		}
-		if !w.mgr.InRegion(a) || !w.mgr.InRegion(a+vm.VA(n-1)) {
-			return fmt.Errorf("%w: leaf data [%#x,+%d)", ErrBadPointer, uint64(a), n)
-		}
-		f := w.mgr.FbufAt(a)
-		if f != nil && !f.Contains(a+vm.VA(n-1)) {
-			return fmt.Errorf("%w: leaf data crosses fbuf boundary", ErrBadNode)
-		}
-		w.note(f)
-		w.segs = append(w.segs, Seg{F: f, VA: a, N: n})
-		return nil
-	case kindPair:
-		if err := w.walk(a); err != nil {
-			return err
-		}
-		return w.walk(b)
-	default:
-		return fmt.Errorf("%w: kind %d at %#x", ErrBadNode, kind, uint64(va))
-	}
 }

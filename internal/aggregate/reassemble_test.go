@@ -158,6 +158,32 @@ func TestReassemblyAllocsFlat(t *testing.T) {
 	}
 }
 
+// TestReassemble64Allocs gates BenchmarkReassemble64's fold: the 63 Joins
+// of a 64-fragment reassembly allocate at most 16 times in all (what
+// building and freeing the fragments costs is measured apart and
+// subtracted).
+func TestReassemble64Allocs(t *testing.T) {
+	r := newRig(t)
+	c := r.ctx(t, true, 1)
+	fold := func(frags []*Msg) {
+		if err := reassemble(t, c, frags).Free(r.src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fold(fragments(t, c, 64))
+	withJoins := testing.AllocsPerRun(20, func() { fold(fragments(t, c, 64)) })
+	buildOnly := testing.AllocsPerRun(20, func() {
+		for _, m := range fragments(t, c, 64) {
+			if err := m.Free(r.src); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if n := withJoins - buildOnly; n > 16 {
+		t.Errorf("64-fragment fold: %v allocs, want <= 16", n)
+	}
+}
+
 // BenchmarkReassemble64 times the IP reassembly of one 64-fragment
 // datagram: 63 left-folded Joins of single-fbuf integrated messages, then
 // the Free of the whole. Building the fragments is not timed.

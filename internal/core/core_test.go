@@ -83,6 +83,24 @@ func (r *rig) oneHop(t *testing.T, p *DataPath) {
 	}
 }
 
+// TestCachedHopAllocationFree: a steady-state cached/volatile hop —
+// allocate, transfer, both frees, deliver notices — allocates nothing.
+func TestCachedHopAllocationFree(t *testing.T) {
+	r := newRig(t)
+	if r.mgr.SanitizerEnabled() {
+		t.Skip("fbsan allocates by design: it saves canary bytes")
+	}
+	p := r.path(t, CachedVolatile(), 4)
+	hop := func() {
+		r.oneHop(t, p)
+		r.mgr.DeliverNotices(r.dst, r.src)
+	}
+	hop()
+	if n := testing.AllocsPerRun(100, hop); n != 0 {
+		t.Errorf("cached/volatile hop: %v allocs, want 0", n)
+	}
+}
+
 func TestDataIntegrityThroughTransfer(t *testing.T) {
 	r := newRig(t)
 	p := r.path(t, CachedVolatile(), 2)

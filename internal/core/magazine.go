@@ -185,7 +185,7 @@ func (g *Magazine) Free(f *Fbuf, d *domain.Domain) error {
 			return ErrNotHolder
 		}
 		if len(f.refs) == 1 && f.refs[d.ID] == 1 {
-			f.refs = map[domain.ID]int{}
+			clear(f.refs)
 			f.mu.Unlock()
 			f.total.Store(0)
 			f.setState(StateFree)
@@ -322,7 +322,7 @@ func (m *Manager) teardownStashed(f *Fbuf) {
 		}
 	}
 	m.releaseFrames(f)
-	f.refs = map[domain.ID]int{}
+	clear(f.refs)
 	f.mu.Unlock()
 	f.setState(StateFree)
 	f.total.Store(0)

@@ -414,7 +414,7 @@ func (p *DataPath) carveLocked() (*Fbuf, error) {
 			// Partial population (physical memory exhausted): release
 			// what was attached rather than leaking a live fbuf.
 			f.mu.Lock()
-			f.refs = map[domain.ID]int{}
+			clear(f.refs)
 			f.mu.Unlock()
 			f.total.Store(0)
 			m.recycle(f)
@@ -453,18 +453,16 @@ func (p *DataPath) AllocBatch(out []*Fbuf) (int, error) {
 	}
 	filled := 0
 	if p.opts.Cached {
-		type popped struct {
-			f     *Fbuf
-			depth int
-		}
-		var pops []popped
 		var ferr error
 		p.lock()
 		if p.closed {
 			p.unlock()
 			return 0, ErrPathClosed
 		}
-		for len(pops) < len(out) && len(p.free) > 0 {
+		// Pops go straight into out; pop i leaves depth-i-1 fbufs on
+		// the free list.
+		depth := len(p.free)
+		for filled < len(out) && len(p.free) > 0 {
 			// Per-item fault consultation, same stream order as an
 			// Alloc loop (the plane never observes events, so batching
 			// cannot shift any fault schedule).
@@ -474,28 +472,25 @@ func (p *DataPath) AllocBatch(out []*Fbuf) (int, error) {
 			}
 			atomic.AddUint64(&m.stats.Allocs, 1)
 			atomic.AddUint64(&p.Allocated, 1)
-			var f *Fbuf
 			if p.opts.FIFO {
-				f = p.free[0]
+				out[filled] = p.free[0]
 				p.free = p.free[1:]
 			} else {
-				f = p.free[len(p.free)-1]
+				out[filled] = p.free[len(p.free)-1]
 				p.free = p.free[:len(p.free)-1]
 			}
-			pops = append(pops, popped{f, len(p.free)})
+			filled++
 		}
 		p.unlock()
 		// Reuse verification, state reset, and events happen outside the
 		// lock, in pop order.
-		for _, pp := range pops {
+		for i, f := range out[:filled] {
 			if m.san != nil {
-				m.san.verifyReuse(pp.f)
+				m.san.verifyReuse(f)
 			}
 			atomic.AddUint64(&m.stats.CacheHits, 1)
-			pp.f.resetLive(p.Originator())
-			p.observeAlloc(o, pp.f, t0, true, pp.depth)
-			out[filled] = pp.f
-			filled++
+			f.resetLive(p.Originator())
+			p.observeAlloc(o, f, t0, true, depth-i-1)
 		}
 		if ferr != nil {
 			atomic.AddUint64(&m.stats.AllocFailures, 1)
@@ -596,7 +591,7 @@ func (m *Manager) AllocUncachedFill(orig *domain.Domain, pages int, opts Options
 	if opts.Populate {
 		if err := m.populateFill(f, fill); err != nil {
 			f.mu.Lock()
-			f.refs = map[domain.ID]int{}
+			clear(f.refs)
 			f.mu.Unlock()
 			f.total.Store(0)
 			m.recycle(f)
@@ -1030,7 +1025,7 @@ func (m *Manager) teardown(f *Fbuf) {
 		}
 	}
 	m.releaseFrames(f)
-	f.refs = map[domain.ID]int{}
+	clear(f.refs)
 	f.mu.Unlock()
 	f.setState(StateFree)
 	f.total.Store(0)
@@ -1058,7 +1053,7 @@ func (m *Manager) resetForFreeList(f *Fbuf) {
 	}
 	f.setState(StateFree)
 	f.mu.Lock()
-	f.refs = map[domain.ID]int{}
+	clear(f.refs)
 	f.mu.Unlock()
 	f.total.Store(0)
 }
