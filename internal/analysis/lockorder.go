@@ -9,8 +9,8 @@ import (
 // fbuf facility (DESIGN.md §10). Every mutex that matters has a rank:
 //
 //	DataPath.mu → Manager.regionMu → chunk.mu → Fbuf.mu → Sanitizer.mu
-//	→ AddrSpace.mu → Depot.mu → leaf locks (TLB.mu, PhysMem.mu, Plane.mu,
-//	Manager.noticeMu, Manager.cacheMu, Tracer.mu, Registry.mu,
+//	→ AddrSpace.mu, System.mu → Depot.mu → leaf locks (PhysMem.mu,
+//	Plane.mu, Manager.noticeMu, Manager.cacheMu, Tracer.mu, Registry.mu,
 //	depotShard.mu, epochState.mu)
 //
 // Depot.mu ranks just below the leaves because a depot assembling or
@@ -45,7 +45,7 @@ var LockOrder = &Analyzer{
 }
 
 // lockOrderDoc is the ranking recited in diagnostics.
-const lockOrderDoc = "DataPath.mu → Manager.regionMu → chunk.mu → Fbuf.mu → Sanitizer.mu → AddrSpace.mu → Depot.mu → leaf locks"
+const lockOrderDoc = "DataPath.mu → Manager.regionMu → chunk.mu → Fbuf.mu → Sanitizer.mu → AddrSpace.mu, System.mu → Depot.mu → leaf locks"
 
 // lockRank maps OwnerType.field to its position in the documented order.
 // Matching is by type and field name (unique across the module), so the
@@ -57,11 +57,13 @@ var lockRank = map[string]int{
 	"Fbuf.mu":          40,
 	"Sanitizer.mu":     50,
 	"AddrSpace.mu":     60,
+	// System.mu is the VM lock over the TLB and every page table; only
+	// PhysMem.mu is taken under it. It never nests with AddrSpace.mu.
+	"System.mu": 60,
 	// Depot.mu (PR 10) sits below the leaves: unit assembly and spill take
 	// shard locks while holding it.
 	"Depot.mu": 65,
 	// Leaf locks: rank-equal, never nested within each other.
-	"TLB.mu":           70,
 	"PhysMem.mu":       70,
 	"Plane.mu":         70,
 	"Manager.noticeMu": 70,

@@ -223,3 +223,23 @@ func depotSelfRelock(d *Depot) {
 	d.mu.Unlock()
 	d.mu.Unlock()
 }
+
+// --- VM lock: one System.mu over the TLB and every page table ------------
+
+type System struct{ mu sync.Mutex }
+
+type PhysMem struct{ mu sync.Mutex }
+
+func vmLockTakesFrameRefs(s *System, pm *PhysMem) {
+	s.mu.Lock()
+	pm.mu.Lock() // mapping changes frame refcounts under the VM lock: fine
+	pm.mu.Unlock()
+	s.mu.Unlock()
+}
+
+func vmLockUnderDepot(d *Depot, s *System) {
+	d.mu.Lock()
+	s.mu.Lock() // want "lock order violation: acquiring System.mu while holding Depot.mu"
+	s.mu.Unlock()
+	d.mu.Unlock()
+}

@@ -13,11 +13,7 @@
 // without touching mechanism code.
 package machine
 
-import (
-	"sync"
-
-	"fbufs/internal/simtime"
-)
+import "fbufs/internal/simtime"
 
 // PageSize is the virtual-memory page size in bytes. The paper's arithmetic
 // (asymptotic throughput = 4096*8 bits / per-page cost) pins this at 4 KB.
@@ -262,6 +258,13 @@ func FutureCPU(cpuSpeedup int64) *CostTable {
 // TLBEntries is the number of TLB entries on the R3000.
 const TLBEntries = 64
 
+// tlbSlots is the size of the TLB's hit-test index: a power of two at
+// twice the capacity, so linear probes stay short.
+const (
+	tlbSlotBits = 7
+	tlbSlots    = 1 << tlbSlotBits
+)
+
 // TLB models an ASID-tagged, software-refilled TLB. The model is
 // deliberately simple: it tracks which (asid, vpn) pairs are present and
 // charges CostTable.TLBMiss on absence. Capacity eviction is FIFO, which is
@@ -269,14 +272,17 @@ const TLBEntries = 64
 // effects the paper relies on (cached fbufs keep their entries hot; a third
 // domain's duplicated text evicts them).
 //
-// The TLB is shared hardware state, so its methods are mutex-guarded; in
-// the single-threaded default mode the lock is uncontended and the model's
-// hit/miss sequence is unchanged.
+// The resident keys sit in a fixed ring in FIFO order, and a fixed
+// open-addressed index (linear probing, backward-shift deletion) maps each
+// key to its ring slot, so no operation allocates. The TLB is not safe for
+// concurrent use: vm.System guards it with the lock that guards its page
+// tables.
 type TLB struct {
-	mu       sync.Mutex
 	capacity int
-	present  map[tlbKey]struct{}
-	order    []tlbKey // FIFO of resident keys, oldest first
+	head     int // ring slot of the oldest entry
+	n        int // resident entries
+	keys     [TLBEntries]tlbKey
+	index    [tlbSlots]uint8 // ring slot + 1 of the key probing here; 0 is empty
 	misses   uint64
 	hits     uint64
 }
@@ -286,95 +292,123 @@ type tlbKey struct {
 	vpn  uint64
 }
 
-// NewTLB creates a TLB with the given number of entries (0 means
-// TLBEntries).
+// home is k's first probe in the index (Fibonacci hashing).
+func (k tlbKey) home() int {
+	return int((k.vpn ^ uint64(k.asid)<<48) * 0x9E3779B97F4A7C15 >> (64 - tlbSlotBits))
+}
+
+// NewTLB creates a TLB with the given number of entries, at most
+// TLBEntries (0 means TLBEntries).
 func NewTLB(capacity int) *TLB {
 	if capacity <= 0 {
 		capacity = TLBEntries
 	}
-	return &TLB{capacity: capacity, present: make(map[tlbKey]struct{})}
+	if capacity > TLBEntries {
+		panic("machine: TLB capacity above TLBEntries")
+	}
+	return &TLB{capacity: capacity}
 }
 
 // Touch records an access to (asid, vpn) and reports whether it missed.
 func (t *TLB) Touch(asid int, vpn uint64) (missed bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	k := tlbKey{asid, vpn}
-	if _, ok := t.present[k]; ok {
+	s, ok := t.lookup(k)
+	if ok {
 		t.hits++
 		return false
 	}
 	t.misses++
-	if len(t.order) >= t.capacity {
-		t.evictOldest()
+	if t.n == t.capacity {
+		t.remove(0)
+		s, _ = t.lookup(k) // the deletion may have moved the probe's end
 	}
-	t.present[k] = struct{}{}
-	t.order = append(t.order, k)
+	r := t.slot(t.n)
+	t.keys[r] = k
+	t.index[s] = uint8(r + 1)
+	t.n++
 	return true
 }
 
 // Invalidate drops the entry for (asid, vpn) if present, as a protection
 // change or unmap must.
 func (t *TLB) Invalidate(asid int, vpn uint64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	k := tlbKey{asid, vpn}
-	if _, ok := t.present[k]; !ok {
-		return
-	}
-	delete(t.present, k)
-	for i, e := range t.order {
-		if e == k {
-			t.order = append(t.order[:i], t.order[i+1:]...)
-			break
-		}
+	if s, ok := t.lookup(k); ok {
+		t.remove((int(t.index[s]) - 1 - t.head + t.capacity) % t.capacity)
 	}
 }
 
 // InvalidateASID drops all entries belonging to an address space (domain
 // teardown, ASID recycling).
 func (t *TLB) InvalidateASID(asid int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	kept := t.order[:0]
-	for _, k := range t.order {
-		if k.asid == asid {
-			delete(t.present, k)
-		} else {
-			kept = append(kept, k)
+	for q := t.n - 1; q >= 0; q-- {
+		if t.keys[t.slot(q)].asid == asid {
+			t.remove(q)
 		}
 	}
-	t.order = kept
-}
-
-// Flush empties the TLB.
-func (t *TLB) Flush() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	clear(t.present)
-	t.order = t.order[:0]
 }
 
 // Stats returns cumulative hit and miss counts.
-func (t *TLB) Stats() (hits, misses uint64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.hits, t.misses
-}
+func (t *TLB) Stats() (hits, misses uint64) { return t.hits, t.misses }
 
-// Pollute evicts n entries (oldest first), modelling unrelated activity such
-// as duplicated library text competing for TLB slots.
-func (t *TLB) Pollute(n int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for i := 0; i < n && len(t.order) > 0; i++ {
-		t.evictOldest()
+// slot returns the ring slot of FIFO position q (0 is the oldest).
+func (t *TLB) slot(q int) int {
+	if q += t.head; q >= t.capacity {
+		q -= t.capacity
 	}
+	return q
 }
 
-// evictOldest drops the oldest entry, shifting the FIFO down in place so
-// its array is reused rather than regrown.
-func (t *TLB) evictOldest() {
-	delete(t.present, t.order[0])
-	t.order = t.order[:copy(t.order, t.order[1:])]
+// lookup returns the index slot holding k, or the empty slot that ends
+// k's probe.
+func (t *TLB) lookup(k tlbKey) (s int, found bool) {
+	for s = k.home(); t.index[s] != 0; s = (s + 1) & (tlbSlots - 1) {
+		if t.keys[t.index[s]-1] == k {
+			return s, true
+		}
+	}
+	return s, false
+}
+
+// indexOf returns the index slot pointing at ring slot r.
+func (t *TLB) indexOf(r int) int {
+	s := t.keys[r].home()
+	for int(t.index[s]) != r+1 {
+		s = (s + 1) & (tlbSlots - 1)
+	}
+	return s
+}
+
+// remove drops the entry at FIFO position q and closes the gap from the
+// shorter side, so the others keep their order.
+func (t *TLB) remove(q int) {
+	// Backward-shift deletion: pull each later entry of the probe run
+	// into the hole unless its home lies cyclically after the hole.
+	i := t.indexOf(t.slot(q))
+	for j := (i + 1) & (tlbSlots - 1); t.index[j] != 0; j = (j + 1) & (tlbSlots - 1) {
+		h := t.keys[t.index[j]-1].home()
+		if (j-h)&(tlbSlots-1) >= (j-i)&(tlbSlots-1) {
+			t.index[i] = t.index[j]
+			i = j
+		}
+	}
+	t.index[i] = 0
+	if q < t.n/2 {
+		for ; q > 0; q-- {
+			t.move(t.slot(q-1), t.slot(q))
+		}
+		t.head = t.slot(1)
+	} else {
+		for ; q < t.n-1; q++ {
+			t.move(t.slot(q+1), t.slot(q))
+		}
+	}
+	t.n--
+}
+
+// move copies the key in ring slot from to ring slot to and repoints its
+// index entry.
+func (t *TLB) move(from, to int) {
+	t.index[t.indexOf(from)] = uint8(to + 1)
+	t.keys[to] = t.keys[from]
 }

@@ -120,27 +120,6 @@ func TestTLBInvalidateASID(t *testing.T) {
 	}
 }
 
-func TestTLBFlushAndPollute(t *testing.T) {
-	tlb := NewTLB(8)
-	for i := uint64(0); i < 8; i++ {
-		tlb.Touch(1, i)
-	}
-	tlb.Pollute(3)
-	miss := 0
-	for i := uint64(0); i < 8; i++ {
-		if tlb.Touch(1, i) {
-			miss++
-		}
-	}
-	if miss != 3 {
-		t.Fatalf("pollute(3) caused %d misses", miss)
-	}
-	tlb.Flush()
-	if !tlb.Touch(1, 0) {
-		t.Fatal("flushed TLB should miss")
-	}
-}
-
 func TestTLBDefaultCapacity(t *testing.T) {
 	tlb := NewTLB(0)
 	// Fill beyond R3000 capacity; entry 0 must be evicted.
@@ -153,22 +132,37 @@ func TestTLBDefaultCapacity(t *testing.T) {
 }
 
 func TestTLBNeverExceedsCapacity(t *testing.T) {
-	// Property: after any touch sequence the resident set is <= capacity
+	// Property: after any touch sequence the ring holds at most capacity
+	// keys, the index holds exactly one entry for each and nothing else,
 	// and touching a resident key is a hit.
 	f := func(keys []uint8) bool {
 		tlb := NewTLB(4)
 		for _, k := range keys {
 			tlb.Touch(int(k%3), uint64(k))
 		}
-		if len(tlb.present) > 4 || len(tlb.order) > 4 {
+		if tlb.n > 4 {
 			return false
 		}
-		for _, k := range tlb.order {
-			if _, ok := tlb.present[k]; !ok {
+		indexed := 0
+		for _, r := range tlb.index {
+			if r != 0 {
+				indexed++
+			}
+		}
+		if indexed != tlb.n {
+			return false
+		}
+		for q := 0; q < tlb.n; q++ {
+			if s, ok := tlb.lookup(tlb.keys[tlb.slot(q)]); !ok || int(tlb.index[s]) != tlb.slot(q)+1 {
 				return false
 			}
 		}
-		return len(tlb.present) == len(tlb.order)
+		for _, k := range resident(tlb) {
+			if tlb.Touch(k.asid, k.vpn) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
