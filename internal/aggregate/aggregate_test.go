@@ -10,6 +10,7 @@ import (
 	"fbufs/internal/core"
 	"fbufs/internal/domain"
 	"fbufs/internal/machine"
+	"fbufs/internal/obs"
 	"fbufs/internal/simtime"
 	"fbufs/internal/vm"
 )
@@ -149,6 +150,47 @@ func TestJoinSplitClip(t *testing.T) {
 		clipped.Free(r.src)
 		if err := r.mgr.CheckInvariants(); err != nil {
 			t.Fatal(err)
+		}
+	})
+}
+
+// TestJoinSelfRefused: Join(m, m) would consume m twice, so it fails with
+// ErrConsumed before touching m. Every fbuf keeps its references, the
+// clock and the trace do not move, and m still reads and frees cleanly.
+func TestJoinSelfRefused(t *testing.T) {
+	bothModes(t, func(t *testing.T, r *rig, c *Ctx) {
+		o := obs.New(1 << 8)
+		o.SetNow(r.clk.Now)
+		r.sys.Obs = o
+		m, err := c.NewData(pattern(100))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fbufs := m.Fbufs()
+		refs := make([]int, len(fbufs))
+		for i, f := range fbufs {
+			refs[i] = f.Refs()
+		}
+		now, events := r.clk.Now(), o.Tracer.Total()
+		if j, err := c.Join(m, m); j != nil || !errors.Is(err, ErrConsumed) {
+			t.Fatalf("Join(m, m) = %v, %v; want ErrConsumed", j, err)
+		}
+		for i, f := range fbufs {
+			if f.Refs() != refs[i] {
+				t.Errorf("fbuf %d: %d references after the refused join, want %d", i, f.Refs(), refs[i])
+			}
+		}
+		if r.clk.Now() != now || o.Tracer.Total() != events {
+			t.Errorf("refused join moved the clock %v and emitted %d events", r.clk.Now()-now, o.Tracer.Total()-events)
+		}
+		if got, err := m.ReadAll(r.src); err != nil || !bytes.Equal(got, pattern(100)) {
+			t.Fatalf("m after the refused join: %v", err)
+		}
+		if err := m.Free(r.src); err != nil {
+			t.Fatal(err)
+		}
+		if f := fbufs[0]; f.Refs() != 0 {
+			t.Errorf("data fbuf holds %d references after Free", f.Refs())
 		}
 	})
 }

@@ -359,8 +359,11 @@ func (c *Ctx) WrapFbuf(f *core.Fbuf, off, n int) (*Msg, error) {
 // enters the balance handed to apply: b's references, the fbufs b adds to
 // the result, and the few of a's that the result moves or drops.
 // Left-folding n fragments (IP reassembly) therefore does O(n) work.
+//
+// Join(m, m) would consume m twice: it fails with ErrConsumed and leaves m
+// as it was.
 func (c *Ctx) Join(a, b *Msg) (*Msg, error) {
-	if a.consumed || b.consumed {
+	if a.consumed || b.consumed || a == b {
 		return nil, ErrConsumed
 	}
 	length := a.length + b.length

@@ -244,14 +244,7 @@ func (s *diffSeq) step() {
 			}
 		}
 		var m *Msg
-		m, err = c.Join(x.m, y.m)
-		if x.m == y.m {
-			// Join(m, m) drops the one reference m held to each fbuf
-			// and returns a view over them: hash it, edit it no further.
-			s.record(op, err, to, []*Msg{m})
-			s.live = slices.DeleteFunc(s.live, func(h held) bool { return h.m == m })
-			return
-		}
+		m, err = c.Join(x.m, y.m) // Join(m, m) is refused and m stays live
 		outs = []*Msg{m}
 	case 9:
 		to = x.d
