@@ -22,7 +22,7 @@ type rig struct {
 	dst *domain.Domain
 }
 
-func newRig(t *testing.T) *rig {
+func newRig(t testing.TB) *rig {
 	t.Helper()
 	clk := &simtime.Clock{}
 	sys := vm.NewSystem(machine.DecStation5000(), 4096, vm.ClockSink{Clock: clk})
@@ -38,7 +38,7 @@ func newRig(t *testing.T) *rig {
 	return r
 }
 
-func (r *rig) path(t *testing.T, opts Options, pages int, doms ...*domain.Domain) *DataPath {
+func (r *rig) path(t testing.TB, opts Options, pages int, doms ...*domain.Domain) *DataPath {
 	t.Helper()
 	if len(doms) == 0 {
 		doms = []*domain.Domain{r.src, r.dst}

@@ -1,8 +1,13 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
+
+	"fbufs/internal/machine"
+	"fbufs/internal/vm"
 )
 
 // Parallel stress tests: real goroutines over one shared manager, meant to
@@ -169,6 +174,110 @@ func TestParallelTransfer(t *testing.T) {
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("worker %d: %v", i, err)
+		}
+	}
+	checkSan()
+	r.check(t)
+}
+
+// TestParallelFbufLookup runs FbufAt, HeldBy, Transfer and Free from several
+// goroutines while another carves fbufs on its own paths, evicts them and
+// closes the paths, so chunks enter and leave the chunk table under the
+// lookups. Every lookup must find nil or an fbuf that contains the address,
+// and a live fbuf's own addresses must find it.
+func TestParallelFbufLookup(t *testing.T) {
+	r, checkSan := parallelRig(t)
+	p := r.path(t, CachedVolatile(), 1)
+	var churn []*DataPath
+	for i := 0; i < 6; i++ {
+		cp, err := r.mgr.NewPath(fmt.Sprintf("churn%d", i), CachedVolatile(), 2, r.net, r.dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		churn = append(churn, cp)
+	}
+	// Lookups range over the chunks the test can occupy.
+	window := 12 * r.mgr.chunkPages * machine.PageSize
+
+	const workers, ops = 3, 600
+	errs := make([]error, workers+1)
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func(slot int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(slot)))
+			for op := 0; op < ops && errs[slot] == nil; op++ {
+				for k := 0; k < 8; k++ {
+					va := RegionBase + vm.VA(rng.Intn(window))
+					if f := r.mgr.FbufAt(va); f != nil && !f.Contains(va) {
+						errs[slot] = fmt.Errorf("FbufAt(%#x) found fbuf %#x of %d pages", uint64(va), uint64(f.Base), f.Pages)
+					}
+				}
+				f, err := p.Alloc()
+				if err != nil {
+					errs[slot] = err
+					return
+				}
+				if err := r.mgr.Transfer(f, r.src, r.dst); err != nil {
+					errs[slot] = err
+					return
+				}
+				if va := f.Base + vm.VA(rng.Intn(f.Size())); r.mgr.FbufAt(va) != f {
+					errs[slot] = fmt.Errorf("FbufAt(%#x) misses live fbuf %#x", uint64(va), uint64(f.Base))
+				}
+				if !f.HeldBy(r.dst) || !f.HeldBy(r.src) || f.HeldBy(r.net) {
+					errs[slot] = fmt.Errorf("fbuf %#x holders wrong after transfer", uint64(f.Base))
+				}
+				if err := r.mgr.Free(f, r.dst); err != nil {
+					errs[slot] = err
+					return
+				}
+				if err := r.mgr.Free(f, r.src); err != nil {
+					errs[slot] = err
+					return
+				}
+			}
+		}(i)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var live []*Fbuf
+		for round := 0; round < 3; round++ {
+			for _, cp := range churn {
+				for i := 0; i < 40; i++ {
+					f, err := cp.Alloc()
+					if err != nil {
+						errs[workers] = err
+						return
+					}
+					live = append(live, f)
+				}
+				for _, f := range live[:20] {
+					if err := r.mgr.Free(f, r.net); err != nil {
+						errs[workers] = err
+						return
+					}
+				}
+				r.mgr.EvictPath(cp)
+				for _, f := range live[20:] {
+					if err := r.mgr.Free(f, r.net); err != nil {
+						errs[workers] = err
+						return
+					}
+				}
+				live = live[:0]
+				if round == 2 {
+					r.mgr.ClosePath(cp)
+				}
+			}
+		}
+	}()
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("goroutine %d: %v", i, err)
 		}
 	}
 	checkSan()

@@ -187,45 +187,19 @@ func newProxy(env *Env, upper, lower Layer, lowerDom *domain.Domain) *proxy {
 	return p
 }
 
-// wire is the Go-level representation of what crosses the boundary: the
-// DAG root for integrated messages, or the message view for private ones
-// (whose fbuf list was marshalled as IPC descriptors).
-type wire struct {
-	integrated bool
-	rootVA     vm.VA
-	m          *aggregate.Msg
-}
-
-// send transfers the message's buffers to the peer domain, performs the
-// IPC, and releases the sender's references.
-func (p *proxy) send(m *aggregate.Msg, from, to *domain.Domain, port ipc.PortID, op string) error {
-	if err := m.Transfer(from, to); err != nil {
-		return fmt.Errorf("xkernel: proxy transfer: %w", err)
-	}
-	im := &ipc.Message{
-		Op:          op,
-		Descriptors: m.NumFbufs(),
-		Body:        wire{integrated: m.Integrated(), rootVA: m.RootVA(), m: m},
-	}
-	if _, err := p.env.Router.Call(from, port, im); err != nil {
-		return err
-	}
-	return m.Free(from)
-}
-
-// receive materializes the peer's view of the message. Integrated messages
-// are reconstructed from the root reference with full validation; private
-// messages are rebuilt from the marshalled fbuf list (step 3c of the
-// baseline transfer).
+// receive materializes the peer's view of the message the IPC body
+// carries. Integrated messages are reconstructed from the root reference
+// with full validation; private messages are rebuilt from the marshalled
+// fbuf list (step 3c of the baseline transfer).
 func (p *proxy) receive(im *ipc.Message, at *domain.Domain) (*aggregate.Msg, error) {
-	w, ok := im.Body.(wire)
+	m, ok := im.Body.(*aggregate.Msg)
 	if !ok {
 		return nil, fmt.Errorf("xkernel: malformed proxy message %q", im.Op)
 	}
-	if w.integrated {
-		return aggregate.Open(p.env.Mgr, at, w.rootVA)
+	if m.Integrated() {
+		return aggregate.Open(p.env.Mgr, at, m.RootVA())
 	}
-	return w.m.ViewFor(at)
+	return m.ViewFor(at)
 }
 
 // stub is the Layer a proxy presents inside one domain.
@@ -235,6 +209,10 @@ type stub struct {
 	peerDom *domain.Domain
 	port    ipc.PortID
 	name    string
+	// msg is the IPC message the stub's calls reuse; calling marks it in
+	// use by a call in flight.
+	msg     ipc.Message
+	calling bool
 }
 
 func (s *stub) Name() string        { return s.name }
@@ -243,11 +221,36 @@ func (s *stub) SetAbove(Layer)      {}
 func (s *stub) SetBelow(Layer)      {}
 
 // Push crosses downward into the peer domain.
-func (s *stub) Push(m *aggregate.Msg) error {
-	return s.p.send(m, s.dom, s.peerDom, s.port, "push")
-}
+func (s *stub) Push(m *aggregate.Msg) error { return s.send(m, "push") }
 
 // Deliver crosses upward into the peer domain.
-func (s *stub) Deliver(m *aggregate.Msg) error {
-	return s.p.send(m, s.dom, s.peerDom, s.port, "deliver")
+func (s *stub) Deliver(m *aggregate.Msg) error { return s.send(m, "deliver") }
+
+// send transfers the message's buffers to the peer domain, performs the
+// IPC, and releases the sender's references. The IPC body is m itself:
+// what crosses is the DAG root for an integrated message, or the fbuf
+// list marshalled as descriptors for a private one. The message is
+// cleared after the call, so the stub keeps no view alive.
+func (s *stub) send(m *aggregate.Msg, op string) error {
+	if err := m.Transfer(s.dom, s.peerDom); err != nil {
+		return fmt.Errorf("xkernel: proxy transfer: %w", err)
+	}
+	im := &s.msg
+	if s.calling {
+		// A call re-entering this stub (a layer on the far side answering
+		// back through it) must leave the outer call's message alone.
+		im = new(ipc.Message)
+	} else {
+		s.calling = true
+	}
+	*im = ipc.Message{Op: op, Descriptors: m.NumFbufs(), Body: m}
+	_, err := s.p.env.Router.Call(s.dom, s.port, im)
+	*im = ipc.Message{}
+	if im == &s.msg {
+		s.calling = false
+	}
+	if err != nil {
+		return err
+	}
+	return m.Free(s.dom)
 }

@@ -21,7 +21,7 @@ type rig struct {
 	env *Env
 }
 
-func newRig(t *testing.T) *rig {
+func newRig(t testing.TB) *rig {
 	t.Helper()
 	clk := &simtime.Clock{}
 	sys := vm.NewSystem(machine.DecStation5000(), 8192, vm.ClockSink{Clock: clk})
