@@ -474,13 +474,14 @@ func (as *AddrSpace) mapFrame(va VA, frame mem.FrameNum, prot Prot, addRef bool)
 	vpn := va.VPN()
 	sys.mu.Lock()
 	defer sys.mu.Unlock()
-	// Replacing a mapping releases the old frame first.
+	// The new reference is taken before a replaced mapping's is dropped,
+	// so remapping the frame a page already maps never frees it.
+	if addRef {
+		sys.Mem.AddRef(frame)
+	}
 	if old := as.pt.set(vpn, PTE{Frame: frame, Prot: prot}); old.valid {
 		sys.Mem.DecRef(old.Frame)
 		sys.TLB.Invalidate(as.ASID, vpn)
-	}
-	if addRef {
-		sys.Mem.AddRef(frame)
 	}
 }
 

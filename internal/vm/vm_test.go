@@ -377,6 +377,29 @@ func TestMapReplacementReleasesOldFrame(t *testing.T) {
 	}
 }
 
+// TestMapOverSameFrame: Map over a mapping of the same frame, which holds
+// the frame's only reference, keeps the frame mapped and allocated.
+func TestMapOverSameFrame(t *testing.T) {
+	sys, _ := newSys()
+	as := sys.NewAddrSpace("a")
+	fn, _ := sys.Mem.Alloc()
+	free := sys.Mem.FreeFrames()
+	as.MapOwned(0x1000, fn, ReadWrite)
+	as.Map(0x1000, fn, ProtRead)
+	if pte, ok := as.Lookup(0x1000); !ok || pte.Frame != fn || pte.Prot != ProtRead {
+		t.Fatalf("mapping %+v (present %v), want frame %d read-only", pte, ok, fn)
+	}
+	if n := sys.Mem.RefCount(fn); n != 1 {
+		t.Fatalf("frame refcount %d, want 1", n)
+	}
+	if sys.Mem.FreeFrames() != free {
+		t.Fatalf("free frames %d, want %d: the frame went back on the free stack", sys.Mem.FreeFrames(), free)
+	}
+	if err := sys.Mem.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestMeter(t *testing.T) {
 	var m Meter
 	m.Charge(100)
