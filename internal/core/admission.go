@@ -111,7 +111,7 @@ func (a *Admission) admit(t *TenantClass) bool {
 }
 
 // release refunds one chunk when a grant fails downstream or the chunk
-// drains back to the kernel (releaseChunk).
+// drains back to the kernel (releaseChunkLocked).
 func (a *Admission) release(t *TenantClass) { t.inUse.Add(-1) }
 
 // Pressured reports whether an admission rejection happened within the

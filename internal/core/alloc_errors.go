@@ -25,7 +25,7 @@ import (
 //   - ErrRegionFull — the *global* fbuf VA region has no free chunks
 //     (Manager.grantChunk). Every allocator on the host is affected;
 //     recovery requires some path or uncached fbuf to fully tear down
-//     (removeFromChunk → releaseChunk).
+//     (removeFromChunk → releaseChunkLocked).
 //
 //   - mem.ErrOutOfMemory — VA space was available but the *physical frame
 //     pool* is empty (vm.System.AllocFrame, reached from populate's

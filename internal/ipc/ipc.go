@@ -30,10 +30,11 @@ type PortID int
 //   - Inline: small arguments copied by value (already costed by sender).
 //   - Descriptors: the number of out-of-line fbuf descriptors carried, each
 //     charged IPCPerFbuf (the integrated optimization reduces this to 1).
-//   - Body: simulator-level payload handed to the receiver. This is Go
-//     plumbing, not simulated data; anything the receiver reads through it
-//     must be readable through its own address space or the access will
-//     fault there.
+//   - Body: simulator-level payload handed to the receiver, such as an
+//     x-kernel proxy's message view. This is Go plumbing, not simulated
+//     data; anything the receiver reads through it must be readable through
+//     its own address space or the access will fault there. The router
+//     keeps no reference to a Message after Call returns.
 type Message struct {
 	Op          string
 	Inline      []byte
