@@ -57,7 +57,7 @@ func AblationOptimizations() (*Table, error) {
 		{"volatile only (uncached)", mk(false, true)},
 		{"neither (plain fbufs)", mk(false, false)},
 	} {
-		v, err := figure4Run(false, cfg.opts, 64*1024)
+		v, err := figure4Run(false, cfg.opts, 64*1024, 0, false)
 		if err != nil {
 			return nil, err
 		}
@@ -83,7 +83,7 @@ func AblationClearing() (*Table, error) {
 		opts := core.Uncached()
 		opts.Integrated = true
 		opts.NoClear = cfg.noClear
-		v, err := figure4Run(false, opts, 64*1024)
+		v, err := figure4Run(false, opts, 64*1024, 0, false)
 		if err != nil {
 			return nil, err
 		}
@@ -113,7 +113,7 @@ func AblationIntegrated() (*Table, error) {
 		// Page-sized data fbufs make messages highly fragmented, so the
 		// per-fbuf marshalling and eager-mapping work of non-integrated
 		// transfers is visible (a 256KB message spans 64 data fbufs).
-		v, err := figure4RunFbufPages(opts, 256*1024, 1)
+		v, err := figure4Run(false, opts, 256*1024, 1, false)
 		if err != nil {
 			return nil, err
 		}
@@ -395,7 +395,7 @@ func AblationChecksum() (*Table, error) {
 		{"checksum off (x-kernel default)", false},
 		{"checksum on (reads every byte, twice)", true},
 	} {
-		v, err := figure4RunChecksum(core.CachedVolatile(), 64*1024, cfg.checksum)
+		v, err := figure4Run(false, core.CachedVolatile(), 64*1024, 0, cfg.checksum)
 		if err != nil {
 			return nil, err
 		}

@@ -245,27 +245,11 @@ func Figure3() (*Figure, error) {
 // Figure4Sizes is the message-size sweep of Figure 4.
 var Figure4Sizes = []int{1024, 4096, 8192, 16384, 65536, 262144, 1048576}
 
-// figure4Run measures loopback throughput for one configuration and size.
-func figure4Run(single bool, opts core.Options, size int) (float64, error) {
-	return figure4RunConfig(single, opts, size, 0)
-}
-
-// figure4RunFbufPages is figure4Run with an explicit data-fbuf size (the
-// integrated-transfer ablation shrinks it to maximize fragmentation).
-func figure4RunFbufPages(opts core.Options, size, fbufPages int) (float64, error) {
-	return figure4RunFull(false, opts, size, fbufPages, false)
-}
-
-// figure4RunChecksum is figure4Run with UDP checksumming enabled.
-func figure4RunChecksum(opts core.Options, size int, checksum bool) (float64, error) {
-	return figure4RunFull(false, opts, size, 0, checksum)
-}
-
-func figure4RunConfig(single bool, opts core.Options, size, fbufPages int) (float64, error) {
-	return figure4RunFull(single, opts, size, fbufPages, false)
-}
-
-func figure4RunFull(single bool, opts core.Options, size, fbufPages int, checksum bool) (float64, error) {
+// figure4Run measures loopback throughput for one configuration and size:
+// the stack in one domain or three, data fbufs of fbufPages pages (0 = the
+// stack's default; the integrated-transfer ablation shrinks them to
+// maximize fragmentation), and UDP checksumming on or off.
+func figure4Run(single bool, opts core.Options, size, fbufPages int, checksum bool) (float64, error) {
 	r := newRig()
 	var src, net, sink *domain.Domain
 	if single {
@@ -324,7 +308,7 @@ func Figure4() (*Figure, error) {
 	for _, cfg := range configs {
 		var ys []float64
 		for _, size := range Figure4Sizes {
-			v, err := figure4Run(cfg.single, cfg.opts, size)
+			v, err := figure4Run(cfg.single, cfg.opts, size, 0, false)
 			if err != nil {
 				return nil, err
 			}
