@@ -125,31 +125,17 @@ func randomSchedule(rnd *rand.Rand, workers, perWorker int) []int {
 	return sched
 }
 
-// minClockSchedule replays the PR 4 smp_scaling scheduling rule: always
-// run the worker with the smallest virtual clock. With a fixed per-op
-// cost this degenerates to round-robin, which is exactly the schedule
-// the bench harness produces for symmetric workers — included so the
-// envelope covers the schedule real experiments actually use.
-func minClockSchedule(workers, perWorker int) []int {
-	now := make([]simtime.Duration, workers)
-	remaining := make([]int, workers)
-	for i := range remaining {
-		remaining[i] = perWorker
-	}
+// roundRobinSchedule runs the workers in turn, 0, 1, …, workers-1, once per
+// command. It is the schedule the smp_scaling harness's min-clock rule
+// (step the worker furthest behind, ties to the lower index) produces for
+// symmetric workers under the fixed perOpCost, so the envelope covers the
+// schedule real experiments use.
+func roundRobinSchedule(workers, perWorker int) []int {
 	sched := make([]int, 0, workers*perWorker)
-	for len(sched) < workers*perWorker {
-		best := -1
+	for i := 0; i < perWorker; i++ {
 		for w := 0; w < workers; w++ {
-			if remaining[w] == 0 {
-				continue
-			}
-			if best < 0 || now[w] < now[best] {
-				best = w
-			}
+			sched = append(sched, w)
 		}
-		remaining[best]--
-		now[best] += perOpCost
-		sched = append(sched, best)
 	}
 	return sched
 }
@@ -187,7 +173,7 @@ func enumSchedules(workers, perWorker int) [][]int {
 }
 
 // Explore runs the interleaving exploration for one seed: per-worker
-// command streams derived from the seed, executed under the min-clock
+// command streams derived from the seed, executed under the round-robin
 // schedule, ec.Schedules random schedules, and (when ec.Exhaustive) the
 // full enumeration. The first schedule-order divergence is shrunk —
 // the flattened prefix is itself a sequential command list, so the
@@ -205,7 +191,7 @@ func Explore(seed int64, ec ExploreConfig) (*ExploreResult, error) {
 		streams[w] = Generate(seed+int64(w)*7919, ec.PerWorker)
 	}
 
-	schedules := [][]int{minClockSchedule(ec.Workers, ec.PerWorker)}
+	schedules := [][]int{roundRobinSchedule(ec.Workers, ec.PerWorker)}
 	rnd := rand.New(rand.NewSource(seed ^ 0x5eed))
 	for i := 0; i < ec.Schedules; i++ {
 		schedules = append(schedules, randomSchedule(rnd, ec.Workers, ec.PerWorker))
