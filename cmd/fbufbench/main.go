@@ -4,7 +4,7 @@
 // Usage:
 //
 //	fbufbench [-exp table1|fig3|fig4|fig5|fig6|cpuload|smp|audit|ablations|chaos|overload|rings|all]
-//	          [-parallel N] [-seed N]
+//	          [-seed N]
 //	          [-json] [-json-out BENCH_report.json]
 //	          [-baseline BENCH_report.json] [-audit-trace out.json]
 //	          [-trace out.json] [-metrics out.json]
@@ -36,9 +36,6 @@
 // cycle sweep, the 8/16/64-worker burst sweep (global lock vs magazine vs
 // depot), and the per-shard depot contention heatmap; -seed N perturbs
 // the burst harness's shard placement for the determinism matrix.
-// -parallel N additionally runs the wall-clock driver with N real
-// goroutines (opt-in: the default run stays single-threaded and
-// deterministic, and wall-clock numbers never enter the JSON report).
 package main
 
 import (
@@ -61,7 +58,6 @@ var validExperiments = []string{
 func main() {
 	exp := flag.String("exp", "all", "experiment: table1, fig3, fig4, fig5, fig6, cpuload, smp, audit, ablations, chaos, overload, rings, all (chaos, overload, and rings not in all)")
 	seed := flag.Int64("seed", 0, "run -exp overload, rings, or smp with this single seed (0 = overload matrix / pinned rings and smp seeds; the JSON report always uses the pinned seeds)")
-	parallel := flag.Int("parallel", 0, "also run the wall-clock parallel driver with N real goroutines (0 = off; numbers not written to the JSON report)")
 	jsonOut := flag.Bool("json", false, "write the machine-readable benchmark report (every experiment, whatever -exp says)")
 	jsonPath := flag.String("json-out", "BENCH_report.json", "path for the -json report")
 	baseline := flag.String("baseline", "", "gate the full report against this baseline report (normally BENCH_report.json); exit 1 when a p99_ns value grew >10% or a key is missing")
@@ -77,11 +73,6 @@ func main() {
 	}
 	if err := run(os.Stdout, *exp, *seed); err != nil {
 		fatal(err)
-	}
-	if *parallel > 0 {
-		if err := runWallClock(os.Stdout, *parallel); err != nil {
-			fatal(err)
-		}
 	}
 
 	// -json and -baseline share one full report run, whatever -exp says.
@@ -290,17 +281,4 @@ func run(w io.Writer, exp string, seed int64) error {
 		return fmt.Errorf("unknown experiment %q (valid: %s)", exp, strings.Join(validExperiments, ", "))
 	}
 	return nil
-}
-
-// runWallClock runs the opt-in real-goroutine driver (-parallel N).
-func runWallClock(w io.Writer, workers int) error {
-	t, err := bench.ParallelWallClock(workers, 20000)
-	if err != nil {
-		return err
-	}
-	if _, err := t.WriteTo(w); err != nil {
-		return err
-	}
-	_, err = fmt.Fprintln(w)
-	return err
 }

@@ -83,7 +83,6 @@ func Audit() (*AuditResult, error) {
 				Name:      h.Name + "." + pc.Name,
 				Acquires:  pc.Acquires,
 				Contended: pc.Contended,
-				WaitNs:    pc.WaitNs,
 			})
 		}
 	}

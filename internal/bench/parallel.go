@@ -36,9 +36,9 @@ import (
 //     only refills and flushes pay a (longer, batched) lock hold.
 //
 // The schedule, the clocks, and every counter are identical on every run.
-// Wall-clock goroutine benchmarks exist too (fbufbench -parallel N and the
-// root Benchmark*Parallel functions) but their numbers are machine-dependent
-// and deliberately stay out of the committed report.
+// Real goroutines drive the same cycle in the root BenchmarkParallel*
+// functions and internal/core's TestParallel* tests; their numbers are
+// machine-dependent and stay out of the committed report.
 
 const (
 	// smpOpsPerWorker is each logical worker's alloc/touch/free cycle count.

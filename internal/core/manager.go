@@ -118,14 +118,6 @@ type Manager struct {
 	// epoch is the epoch-based frame-reclamation state (epoch.go). Inert —
 	// frames release eagerly — until the first RegisterEpochWorker.
 	epoch epochState
-
-	// WallNow, when set, supplies real wall-clock nanoseconds for the
-	// contended-lock wait measurement (PathContention.WaitNs). It is nil
-	// in the deterministic single-threaded mode — only the opt-in
-	// wall-clock parallel driver installs it, keeping simulator code free
-	// of real-clock reads (the detlint contract). Set before spawning
-	// workers; never mutate concurrently with them.
-	WallNow func() int64
 }
 
 // Contention is the SMP diagnostics counter group: shared-lock traffic on

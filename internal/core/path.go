@@ -83,13 +83,9 @@ type DataPath struct {
 	depthGauge *obs.Gauge
 
 	// Per-path shared-lock contention counters (the heatmap's raw data),
-	// alongside the manager-global Contention totals. lockWaitNs is wall
-	// clock, sampled only on the contended slow path and only when the
-	// manager's WallNow hook is installed, so the deterministic
-	// single-threaded mode never reads the real clock.
+	// alongside the manager-global Contention totals.
 	lockAcquires  uint64
 	lockContended uint64
-	lockWaitNs    int64
 }
 
 // NewPath creates a data path. fbufPages is the fixed fbuf size for the
@@ -183,26 +179,15 @@ func (p *DataPath) lock() {
 	}
 	atomic.AddUint64(&p.mgr.contention.LockContended, 1)
 	atomic.AddUint64(&p.lockContended, 1)
-	now := p.mgr.WallNow
-	var t0 int64
-	if now != nil {
-		t0 = now()
-	}
 	p.mu.Lock()
-	if now != nil {
-		atomic.AddInt64(&p.lockWaitNs, now()-t0)
-	}
 }
 
 // PathContention is one path's shared-lock traffic, the raw material for
-// the profiler's contention heatmap. WaitNs is wall-clock waiting measured
-// on contended acquires only, and only when Manager.WallNow is installed
-// (zero in deterministic single-threaded runs).
+// the profiler's contention heatmap.
 type PathContention struct {
 	Name      string
 	Acquires  uint64
 	Contended uint64
-	WaitNs    int64
 }
 
 // ContentionByPath snapshots per-path lock contention for the open paths,
@@ -215,7 +200,6 @@ func (m *Manager) ContentionByPath() []PathContention {
 			Name:      p.Name,
 			Acquires:  atomic.LoadUint64(&p.lockAcquires),
 			Contended: atomic.LoadUint64(&p.lockContended),
-			WaitNs:    atomic.LoadInt64(&p.lockWaitNs),
 		})
 	}
 	return out
