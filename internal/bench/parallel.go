@@ -59,145 +59,200 @@ var smpWorkerCounts = []int{1, 2, 4}
 
 // smpRun is one configuration x worker-count measurement.
 type smpRun struct {
-	opsPerSec  float64
-	lockWaitUS float64 // modelled time workers spent waiting on the shared lock
-	lockOps    uint64  // modelled shared-lock occupations
-	cont       core.Contention
+	opsPerSec float64
+	lock      smpResource // the shared path lock
+	cont      core.Contention
 }
 
-// runSMP executes the harness: W logical workers over one cached/volatile
-// path, with or without per-worker magazines.
-func runSMP(workers int, magazines bool) (*smpRun, error) {
-	buildClk := &simtime.Clock{}
-	sys := vm.NewSystem(machine.DecStation5000(), 1<<15, vm.ClockSink{Clock: buildClk})
-	reg := domain.NewRegistry(sys)
-	mgr := core.NewManagerGeometry(sys, reg, 256, 64)
-	src := reg.New("src")
+// smpRig is what both sweeps run on: one manager over a 1<<15-frame
+// system with 256 chunks of 64 pages, and one cached/volatile path of
+// one-page fbufs from src to dst.
+type smpRig struct {
+	sys      *vm.System
+	buildClk *simtime.Clock // setup and teardown charges
+	mgr      *core.Manager
+	src      *domain.Domain
+	path     *core.DataPath
+}
+
+func newSMPRig() (*smpRig, error) {
+	r := &smpRig{buildClk: &simtime.Clock{}}
+	r.sys = vm.NewSystem(machine.DecStation5000(), 1<<15, vm.ClockSink{Clock: r.buildClk})
+	reg := domain.NewRegistry(r.sys)
+	r.mgr = core.NewManagerGeometry(r.sys, reg, 256, 64)
+	r.src = reg.New("src")
 	dst := reg.New("dst")
-	path, err := mgr.NewPath("smp", core.CachedVolatile(), 1, src, dst)
+	var err error
+	r.path, err = r.mgr.NewPath("smp", core.CachedVolatile(), 1, r.src, dst)
+	return r, err
+}
+
+// smpWorker is one logical core: a private virtual clock, a magazine (nil
+// when every op takes the shared path), the fbufs it holds, and the
+// number of steps it has taken.
+type smpWorker struct {
+	clk   *simtime.Clock
+	mag   *core.Magazine
+	held  []*core.Fbuf
+	steps int
+}
+
+// depth is the worker's magazine depth, 0 without a magazine.
+func (w *smpWorker) depth() int {
+	if w.mag == nil {
+		return 0
+	}
+	return w.mag.Depth()
+}
+
+// exchanges is the worker's depot exchange count, 0 without a magazine.
+func (w *smpWorker) exchanges() uint64 {
+	if w.mag == nil {
+		return 0
+	}
+	return w.mag.ExchangeCount()
+}
+
+// alloc allocates one fbuf for w, through its magazine if it has one.
+func (r *smpRig) alloc(w *smpWorker) error {
+	alloc := r.path.Alloc
+	if w.mag != nil {
+		alloc = w.mag.Alloc
+	}
+	f, err := alloc()
 	if err != nil {
-		return nil, err
+		return err
 	}
+	w.held = append(w.held, f)
+	return nil
+}
 
-	// A cycle runs as three separately scheduled phases (alloc, touch,
-	// free) so one worker's touch overlaps other workers' lock sections —
-	// the overlap that gives the global-lock configuration its partial
-	// scaling instead of full serialization.
-	type worker struct {
-		clk   *simtime.Clock
-		mag   *core.Magazine
-		f     *core.Fbuf
-		phase int
-		ops   int
+// free frees w's most recently allocated fbuf, through its magazine if it
+// has one.
+func (r *smpRig) free(w *smpWorker) error {
+	f := w.held[len(w.held)-1]
+	w.held = w.held[:len(w.held)-1]
+	if w.mag != nil {
+		return w.mag.Free(f, r.src)
 	}
-	ws := make([]*worker, workers)
-	for i := range ws {
-		w := &worker{clk: &simtime.Clock{}}
-		if magazines {
-			w.mag = path.NewMagazine(0)
-		}
-		ws[i] = w
-	}
+	return r.mgr.Free(f, r.src)
+}
 
-	var (
-		lockFreeAt simtime.Time     // when the modelled shared lock frees up
-		lockWait   simtime.Duration // summed modelled waiting
-		lockOps    uint64
-	)
-	serialize := func(w *worker, hold simtime.Duration) {
-		if now := w.clk.Now(); now < lockFreeAt {
-			lockWait += lockFreeAt - now
-			w.clk.AdvanceTo(lockFreeAt)
-		}
-		w.clk.Advance(hold)
-		lockFreeAt = w.clk.Now()
-		lockOps++
-	}
-
-	total := workers * smpOpsPerWorker
-	for finished := 0; finished < workers; {
-		// Step the unfinished worker furthest behind in virtual time.
-		var w *worker
-		for _, cand := range ws {
-			if cand.ops >= smpOpsPerWorker {
-				continue
-			}
-			if w == nil || cand.clk.Now() < w.clk.Now() {
-				w = cand
+// run is the min-clock schedule both sweeps share. It repeatedly steps the
+// unfinished worker whose clock is furthest behind (ties go to the lower
+// index), with the system's cost sink swapped to that worker's clock, so
+// facility costs land on the core that incurred them, until every worker
+// has taken steps steps. Then the magazines drain on the build clock and
+// run returns the makespan: the furthest-ahead worker clock.
+func (r *smpRig) run(ws []*smpWorker, steps int, step func(wi int, w *smpWorker) error) (simtime.Time, error) {
+	for finished := 0; finished < len(ws); {
+		wi := -1
+		for i, w := range ws {
+			if w.steps < steps && (wi < 0 || w.clk.Now() < ws[wi].clk.Now()) {
+				wi = i
 			}
 		}
-		sys.SetSink(vm.ClockSink{Clock: w.clk})
-		switch w.phase {
-		case 0: // allocate
-			if magazines {
-				hadStash := w.mag.Depth() > 0
-				f, err := w.mag.Alloc()
-				if err != nil {
-					return nil, err
-				}
-				w.f = f
-				if !hadStash {
-					// The miss refilled (or carved) under the shared lock.
-					serialize(w, smpBatchHold)
-				}
-			} else {
-				f, err := path.Alloc()
-				if err != nil {
-					return nil, err
-				}
-				w.f = f
-				serialize(w, smpLockHold)
-			}
-			w.phase = 1
-		case 1: // touch
-			w.clk.Advance(smpTouchCost)
-			w.phase = 2
-		case 2: // free
-			if magazines {
-				depth := w.mag.Depth()
-				if err := w.mag.Free(w.f, src); err != nil {
-					return nil, err
-				}
-				if w.mag.Depth() <= depth {
-					// The push overflowed the stash: half flushed under the lock.
-					serialize(w, smpBatchHold)
-				}
-			} else {
-				if err := mgr.Free(w.f, src); err != nil {
-					return nil, err
-				}
-				serialize(w, smpLockHold)
-			}
-			w.f = nil
-			w.phase = 0
-			w.ops++
-			if w.ops >= smpOpsPerWorker {
-				finished++
-			}
+		w := ws[wi]
+		r.sys.SetSink(vm.ClockSink{Clock: w.clk})
+		if err := step(wi, w); err != nil {
+			return 0, err
+		}
+		if w.steps++; w.steps == steps {
+			finished++
 		}
 	}
-
-	// Teardown charges go back to the build clock; the measurement is the
-	// makespan — the furthest-ahead worker clock when the last op retires.
-	sys.SetSink(vm.ClockSink{Clock: buildClk})
+	r.sys.SetSink(vm.ClockSink{Clock: r.buildClk})
 	var makespan simtime.Time
 	for _, w := range ws {
-		if w.clk.Now() > makespan {
-			makespan = w.clk.Now()
-		}
+		makespan = max(makespan, w.clk.Now())
 		if w.mag != nil {
 			w.mag.Drain()
 		}
 	}
 	if makespan <= 0 {
-		return nil, fmt.Errorf("bench: smp run makespan = %d", makespan)
+		return 0, fmt.Errorf("bench: smp makespan = %d", makespan)
 	}
-	return &smpRun{
-		opsPerSec:  float64(total) / (float64(makespan) / 1e9),
-		lockWaitUS: lockWait.Microseconds(),
-		lockOps:    lockOps,
-		cont:       mgr.ContentionSnapshot(),
-	}, nil
+	return makespan, nil
+}
+
+// smpResource is a modelled shared resource, a lock or a depot shard: a
+// worker that needs it before its release time first advances its clock
+// to that time (the modelled wait), then occupies it for the hold.
+type smpResource struct {
+	freeAt simtime.Time
+	wait   simtime.Duration // summed modelled waiting
+	ops    uint64           // occupations
+}
+
+// occupy makes the worker on clk wait for the resource and then hold it
+// for hold; it returns the wait.
+func (res *smpResource) occupy(clk *simtime.Clock, hold simtime.Duration) simtime.Duration {
+	var wait simtime.Duration
+	if now := clk.Now(); now < res.freeAt {
+		wait = res.freeAt - now
+		clk.AdvanceTo(res.freeAt)
+	}
+	clk.Advance(hold)
+	res.freeAt = clk.Now()
+	res.wait += wait
+	res.ops++
+	return wait
+}
+
+// runSMP executes the harness: W logical workers over one cached/volatile
+// path, with or without per-worker magazines. A cycle runs as three
+// separately scheduled steps (alloc, touch, free) so one worker's touch
+// overlaps other workers' lock sections — the overlap that gives the
+// global-lock configuration its partial scaling instead of full
+// serialization.
+func runSMP(workers int, magazines bool) (*smpRun, error) {
+	r, err := newSMPRig()
+	if err != nil {
+		return nil, err
+	}
+	ws := make([]*smpWorker, workers)
+	for i := range ws {
+		ws[i] = &smpWorker{clk: &simtime.Clock{}}
+		if magazines {
+			ws[i].mag = r.path.NewMagazine(0)
+		}
+	}
+	run := &smpRun{}
+	makespan, err := r.run(ws, 3*smpOpsPerWorker, func(_ int, w *smpWorker) error {
+		switch w.steps % 3 {
+		case 0: // allocate
+			hadStash := w.depth() > 0
+			if err := r.alloc(w); err != nil {
+				return err
+			}
+			if w.mag == nil {
+				run.lock.occupy(w.clk, smpLockHold)
+			} else if !hadStash {
+				// The miss refilled (or carved) under the shared lock.
+				run.lock.occupy(w.clk, smpBatchHold)
+			}
+		case 1: // touch
+			w.clk.Advance(smpTouchCost)
+		case 2: // free
+			depth := w.depth()
+			if err := r.free(w); err != nil {
+				return err
+			}
+			if w.mag == nil {
+				run.lock.occupy(w.clk, smpLockHold)
+			} else if w.mag.Depth() <= depth {
+				// The push overflowed the stash: half flushed under the lock.
+				run.lock.occupy(w.clk, smpBatchHold)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	run.opsPerSec = float64(workers*smpOpsPerWorker) / (float64(makespan) / 1e9)
+	run.cont = r.mgr.ContentionSnapshot()
+	return run, nil
 }
 
 // smpConfigs orders the two configurations for tables and reports.
@@ -241,12 +296,12 @@ func smpScalingValues() (map[string]float64, *Table, error) {
 				fmt.Sprintf("%d", w),
 				fmt.Sprintf("%.0f", r.opsPerSec/1e3),
 				fmt.Sprintf("%.2f", speedup),
-				fmt.Sprintf("%.1f", r.lockWaitUS),
-				fmt.Sprintf("%d", r.lockOps),
+				fmt.Sprintf("%.1f", r.lock.wait.Microseconds()),
+				fmt.Sprintf("%d", r.lock.ops),
 				fmt.Sprintf("%.1f", hitPct),
 			})
 			if w == 4 {
-				vals[fmt.Sprintf("%s 4w lock_wait_us", cfg.name)] = r.lockWaitUS
+				vals[fmt.Sprintf("%s 4w lock_wait_us", cfg.name)] = r.lock.wait.Microseconds()
 				vals[fmt.Sprintf("%s 4w lock_acquires", cfg.name)] = float64(r.cont.LockAcquires)
 				vals[fmt.Sprintf("%s 4w lock_contended", cfg.name)] = float64(r.cont.LockContended)
 				if cfg.magazines {
@@ -326,14 +381,12 @@ var smpBurstConfigs = []string{"global-lock", "magazine", "depot"}
 
 // smpBurstRun is one burst configuration x worker-count measurement.
 type smpBurstRun struct {
-	opsPerSec   float64              // alloc/free pairs per simulated second
-	lockWaitUS  float64              // modelled wait on the shared path lock
-	depotWaitUS float64              // modelled wait on the depot lock
-	shardWaits  [][]simtime.Duration // per-shard wait samples (depot only)
-	shardVisits []uint64
-	exchanges   uint64 // whole-unit depot exchanges across all workers
-	cont        core.Contention
-	shardStats  []core.DepotShardStat
+	opsPerSec  float64     // alloc/free pairs per simulated second
+	lock       smpResource // the shared path lock
+	depot      smpResource // the depot lock: one occupation per exchange
+	shards     [smpDepotShards]smpResource
+	shardWaits [smpDepotShards][]simtime.Duration // per-shard wait samples
+	cont       core.Contention
 }
 
 // runSMPBurst executes the burst harness for one configuration. The
@@ -342,199 +395,98 @@ type smpBurstRun struct {
 // the shared free list, or the depot stack and shards — so the measured
 // rounds exercise steady-state reuse, not first-touch carving.
 func runSMPBurst(workers int, config string, seed int64) (*smpBurstRun, error) {
-	buildClk := &simtime.Clock{}
-	sys := vm.NewSystem(machine.DecStation5000(), 1<<15, vm.ClockSink{Clock: buildClk})
-	reg := domain.NewRegistry(sys)
-	mgr := core.NewManagerGeometry(sys, reg, 256, 64)
-	src := reg.New("src")
-	dst := reg.New("dst")
-	path, err := mgr.NewPath("smp-burst", core.CachedVolatile(), 1, src, dst)
+	r, err := newSMPRig()
 	if err != nil {
 		return nil, err
 	}
-	path.SetQuota(-1) // 64 workers x 48 live pages exceed the default quota
+	r.path.SetQuota(-1) // 64 workers x 48 live pages exceed the default quota
 	var depot *core.Depot
 	if config == "depot" {
-		depot = path.EnableDepot(smpUnitCap, smpDepotShards)
+		depot = r.path.EnableDepot(smpUnitCap, smpDepotShards)
 	}
 
-	// Pre-warm: carve the working set and park it.
-	warm := make([]*core.Fbuf, 0, workers*smpBurst)
-	for i := 0; i < workers*smpBurst; i++ {
-		f, err := path.Alloc()
-		if err != nil {
+	// Pre-warm: carve the working set and park it. With a depot, deposit
+	// through a scratch magazine so the inventory lands in the depot
+	// (stack first, spilling to the shards), not the free list.
+	warm := make([]*core.Fbuf, workers*smpBurst)
+	for i := range warm {
+		if warm[i], err = r.path.Alloc(); err != nil {
 			return nil, err
 		}
-		warm = append(warm, f)
 	}
+	free := r.mgr.Free
+	var scratch *core.Magazine
 	if depot != nil {
-		// Deposit through a scratch magazine so the inventory lands in the
-		// depot (stack first, spilling to the shards), not the free list.
-		scratch := path.NewMagazine(smpUnitCap)
-		for _, f := range warm {
-			if err := scratch.Free(f, src); err != nil {
-				return nil, err
-			}
+		scratch = r.path.NewMagazine(smpUnitCap)
+		free = scratch.Free
+	}
+	for _, f := range warm {
+		if err := free(f, r.src); err != nil {
+			return nil, err
 		}
+	}
+	if scratch != nil {
 		scratch.Drain()
-	} else {
-		for _, f := range warm {
-			if err := mgr.Free(f, src); err != nil {
-				return nil, err
-			}
-		}
 	}
 
-	type worker struct {
-		clk  *simtime.Clock
-		mag  *core.Magazine
-		held []*core.Fbuf
-		idx  int // op index within the round: [0,smpBurst) alloc, then frees
-		rnd  int
-	}
-	ws := make([]*worker, workers)
+	ws := make([]*smpWorker, workers)
 	for i := range ws {
-		w := &worker{clk: &simtime.Clock{}, held: make([]*core.Fbuf, 0, smpBurst)}
+		ws[i] = &smpWorker{clk: &simtime.Clock{}, held: make([]*core.Fbuf, 0, smpBurst)}
 		if config != "global-lock" {
-			w.mag = path.NewMagazine(smpUnitCap)
+			ws[i].mag = r.path.NewMagazine(smpUnitCap)
 		}
-		ws[i] = w
 	}
 
-	r := &smpBurstRun{
-		shardWaits:  make([][]simtime.Duration, smpDepotShards),
-		shardVisits: make([]uint64, smpDepotShards),
-	}
-	var (
-		lockFreeAt  simtime.Time
-		depotFreeAt simtime.Time
-		shardFreeAt [smpDepotShards]simtime.Time
-		lockWait    simtime.Duration
-		depotWait   simtime.Duration
-	)
-	serializeLock := func(w *worker, hold simtime.Duration) {
-		if now := w.clk.Now(); now < lockFreeAt {
-			lockWait += lockFreeAt - now
-			w.clk.AdvanceTo(lockFreeAt)
-		}
-		w.clk.Advance(hold)
-		lockFreeAt = w.clk.Now()
-	}
+	run := &smpBurstRun{}
 	// One whole-unit exchange: a constant hold on the depot lock, then a
 	// constant hold on one shard, picked by a seed-perturbed hash so the
 	// determinism matrix exercises different placements.
-	serializeExchange := func(w *worker, wi int, n uint64) {
-		for ; n > 0; n-- {
-			if now := w.clk.Now(); now < depotFreeAt {
-				depotWait += depotFreeAt - now
-				w.clk.AdvanceTo(depotFreeAt)
-			}
-			w.clk.Advance(smpDepotHold)
-			depotFreeAt = w.clk.Now()
-			s := int((w.mag.ExchangeCount() + uint64(wi) + uint64(seed)) % smpDepotShards)
-			wait := simtime.Duration(0)
-			if now := w.clk.Now(); now < shardFreeAt[s] {
-				wait = shardFreeAt[s] - now
-				w.clk.AdvanceTo(shardFreeAt[s])
-			}
-			w.clk.Advance(smpShardHold)
-			shardFreeAt[s] = w.clk.Now()
-			r.shardWaits[s] = append(r.shardWaits[s], wait)
-			r.shardVisits[s]++
-			r.exchanges++
-		}
+	exchange := func(wi int, w *smpWorker) {
+		run.depot.occupy(w.clk, smpDepotHold)
+		s := int((w.mag.ExchangeCount() + uint64(wi) + uint64(seed)) % smpDepotShards)
+		run.shardWaits[s] = append(run.shardWaits[s], run.shards[s].occupy(w.clk, smpShardHold))
 	}
-
-	for finished := 0; finished < workers; {
-		var w *worker
-		wi := -1
-		for i, cand := range ws {
-			if cand.rnd >= smpBurstRounds {
-				continue
+	makespan, err := r.run(ws, smpBurstRounds*2*smpBurst, func(wi int, w *smpWorker) error {
+		depth, exch := w.depth(), w.exchanges()
+		if w.steps%(2*smpBurst) < smpBurst { // alloc half
+			if err := r.alloc(w); err != nil {
+				return err
 			}
-			if w == nil || cand.clk.Now() < w.clk.Now() {
-				w, wi = cand, i
-			}
-		}
-		sys.SetSink(vm.ClockSink{Clock: w.clk})
-		if w.idx < smpBurst { // alloc half
-			if w.mag == nil {
-				f, err := path.Alloc()
-				if err != nil {
-					return nil, err
-				}
-				w.held = append(w.held, f)
-				serializeLock(w, smpLockHold)
-			} else {
-				depthBefore, exchBefore := w.mag.Depth(), w.mag.ExchangeCount()
-				f, err := w.mag.Alloc()
-				if err != nil {
-					return nil, err
-				}
-				w.held = append(w.held, f)
-				if n := w.mag.ExchangeCount() - exchBefore; n > 0 {
-					serializeExchange(w, wi, n)
-				} else if depthBefore == 0 {
-					if moved := w.mag.Depth() + 1; moved > 1 {
-						serializeLock(w, smpItemHold*simtime.Duration(moved))
-					} else {
-						serializeLock(w, smpLockHold) // carve, or single-item refill
-					}
-				}
+			switch {
+			case w.mag == nil:
+				run.lock.occupy(w.clk, smpLockHold)
+			case w.mag.ExchangeCount() > exch:
+				exchange(wi, w)
+			case depth == 0 && w.mag.Depth() > 0:
+				// Refilled item-at-a-time from the shared free list.
+				run.lock.occupy(w.clk, smpItemHold*simtime.Duration(w.mag.Depth()+1))
+			case depth == 0:
+				run.lock.occupy(w.clk, smpLockHold) // carve, or single-item refill
 			}
 			w.clk.Advance(smpBurstTouch)
-		} else { // free half
-			f := w.held[len(w.held)-1]
-			w.held = w.held[:len(w.held)-1]
-			if w.mag == nil {
-				if err := mgr.Free(f, src); err != nil {
-					return nil, err
-				}
-				serializeLock(w, smpLockHold)
-			} else {
-				depthBefore, exchBefore := w.mag.Depth(), w.mag.ExchangeCount()
-				if err := w.mag.Free(f, src); err != nil {
-					return nil, err
-				}
-				if n := w.mag.ExchangeCount() - exchBefore; n > 0 {
-					serializeExchange(w, wi, n)
-				} else if after := w.mag.Depth(); after < depthBefore+1 {
-					serializeLock(w, smpItemHold*simtime.Duration(depthBefore+1-after))
-				}
-			}
+			return nil
 		}
-		w.idx++
-		if w.idx >= 2*smpBurst {
-			w.idx = 0
-			w.rnd++
-			if w.rnd >= smpBurstRounds {
-				finished++
-			}
+		// free half
+		if err := r.free(w); err != nil {
+			return err
 		}
-	}
-
-	sys.SetSink(vm.ClockSink{Clock: buildClk})
-	var makespan simtime.Time
-	for _, w := range ws {
-		if w.clk.Now() > makespan {
-			makespan = w.clk.Now()
+		switch {
+		case w.mag == nil:
+			run.lock.occupy(w.clk, smpLockHold)
+		case w.mag.ExchangeCount() > exch:
+			exchange(wi, w)
+		case w.mag.Depth() < depth+1:
+			// Flushed item-at-a-time to the shared free list.
+			run.lock.occupy(w.clk, smpItemHold*simtime.Duration(depth+1-w.mag.Depth()))
 		}
-		if w.mag != nil {
-			w.mag.Drain()
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	if makespan <= 0 {
-		return nil, fmt.Errorf("bench: smp burst makespan = %d", makespan)
-	}
-	pairs := workers * smpBurstRounds * smpBurst
-	r.opsPerSec = float64(pairs) / (float64(makespan) / 1e9)
-	r.lockWaitUS = lockWait.Microseconds()
-	r.depotWaitUS = depotWait.Microseconds()
-	r.cont = mgr.ContentionSnapshot()
-	if depot != nil {
-		r.shardStats = depot.ShardStats()
-	}
-	return r, nil
+	run.opsPerSec = float64(workers*smpBurstRounds*smpBurst) / (float64(makespan) / 1e9)
+	run.cont = r.mgr.ContentionSnapshot()
+	return run, nil
 }
 
 // shardWaitP99 is the deterministic p99 of one shard's wait samples: the
@@ -588,20 +540,20 @@ func smpBurstValues(seed int64, vals map[string]float64) ([]*Table, error) {
 				fmt.Sprintf("%d", w),
 				fmt.Sprintf("%.0f", r.opsPerSec/1e3),
 				fmt.Sprintf("%.2f", speedup),
-				fmt.Sprintf("%.1f", r.lockWaitUS),
-				fmt.Sprintf("%.1f", r.depotWaitUS),
-				fmt.Sprintf("%d", r.exchanges),
+				fmt.Sprintf("%.1f", r.lock.wait.Microseconds()),
+				fmt.Sprintf("%.1f", r.depot.wait.Microseconds()),
+				fmt.Sprintf("%d", r.depot.ops),
 			})
 			if cfg == "depot" {
 				vals[fmt.Sprintf("burst depot %dw exchanges", w)] = float64(r.cont.DepotExchanges)
 				vals[fmt.Sprintf("burst depot %dw assemblies", w)] = float64(r.cont.DepotAssemblies)
 				vals[fmt.Sprintf("burst depot %dw spills", w)] = float64(r.cont.DepotSpills)
-				vals[fmt.Sprintf("burst depot %dw depot_wait_us", w)] = r.depotWaitUS
+				vals[fmt.Sprintf("burst depot %dw depot_wait_us", w)] = r.depot.wait.Microseconds()
 				row := []string{fmt.Sprintf("%d", w)}
 				for s := 0; s < smpDepotShards; s++ {
 					p99 := shardWaitP99(r.shardWaits[s])
 					vals[fmt.Sprintf("burst depot %dw shard %d wait p99_ns", w, s)] = p99
-					vals[fmt.Sprintf("burst depot %dw shard %d visits", w, s)] = float64(r.shardVisits[s])
+					vals[fmt.Sprintf("burst depot %dw shard %d visits", w, s)] = float64(r.shards[s].ops)
 					row = append(row, fmt.Sprintf("%.0f", p99))
 				}
 				heat.Rows = append(heat.Rows, row)
