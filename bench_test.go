@@ -306,9 +306,10 @@ func BenchmarkParallelMagazineAllocFree(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	depot := path.EnableDepot(0, 0)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		mag := path.NewMagazine(0)
+		mag := depot.NewMagazine()
 		defer mag.Drain()
 		for pb.Next() {
 			f, err := mag.Alloc()

@@ -51,13 +51,16 @@ func (p *DataPath) AllocBatch(out []*Fbuf) (int, error) {
 	return len(out), nil
 }
 
-// Magazine mirrors core.Magazine (per-CPU alloc/free caching).
+// Depot and Magazine mirror core.Depot and core.Magazine (per-CPU
+// alloc/free caching over a path's depot).
+type Depot struct{}
 type Magazine struct{}
 
-func (p *DataPath) NewMagazine(capacity int) *Magazine { return &Magazine{} }
-func (g *Magazine) Alloc() (*Fbuf, error)              { return &Fbuf{}, nil }
-func (g *Magazine) Free(f *Fbuf, d *Domain) error      { return nil }
-func (g *Magazine) Drain()                             {}
+func (p *DataPath) EnableDepot(unit, shards int) *Depot { return &Depot{} }
+func (d *Depot) NewMagazine() *Magazine                 { return &Magazine{} }
+func (g *Magazine) Alloc() (*Fbuf, error)               { return &Fbuf{}, nil }
+func (g *Magazine) Free(f *Fbuf, d *Domain) error       { return nil }
+func (g *Magazine) Drain()                              {}
 
 func (f *Fbuf) Write(d *Domain, off int, p []byte) error { return nil }
 func (f *Fbuf) Read(d *Domain, off int, p []byte) error  { return nil }

@@ -31,9 +31,10 @@ import (
 //   - "global-lock": every alloc and every free occupies the shared path
 //     lock — the facility before per-worker magazines. The serialized
 //     section bounds total throughput regardless of worker count.
-//   - "magazine": each worker allocates through its private magazine.
-//     Steady-state cycles hit the stash and touch no shared state at all;
-//     only refills and flushes pay a (longer, batched) lock hold.
+//   - "magazine": each worker allocates through its private magazine over
+//     the path's depot (EnableDepot's default unit and shards). Steady-state
+//     cycles hit the stash and touch no shared state at all; only a miss
+//     pays a (longer, batched) lock hold.
 //
 // The schedule, the clocks, and every counter are identical on every run.
 // Real goroutines drive the same cycle in the root BenchmarkParallel*
@@ -49,8 +50,9 @@ const (
 	// smpLockHold models the shared-lock occupancy of one locked alloc or
 	// free (1.5 us) — the serialized section of a global-lock cycle.
 	smpLockHold = simtime.Duration(1500)
-	// smpBatchHold models the occupancy of a magazine refill or flush,
-	// which moves up to half a stash under one acquisition (3 us).
+	// smpBatchHold models the occupancy of a magazine miss or overflow
+	// that reaches shared state: a unit exchange, a batched refill, or a
+	// carve (3 us).
 	smpBatchHold = simtime.Duration(3000)
 )
 
@@ -210,11 +212,15 @@ func runSMP(workers int, magazines bool) (*smpRun, error) {
 	if err != nil {
 		return nil, err
 	}
+	var depot *core.Depot
+	if magazines {
+		depot = r.path.EnableDepot(0, 0)
+	}
 	ws := make([]*smpWorker, workers)
 	for i := range ws {
 		ws[i] = &smpWorker{clk: &simtime.Clock{}}
-		if magazines {
-			ws[i].mag = r.path.NewMagazine(0)
+		if depot != nil {
+			ws[i].mag = depot.NewMagazine()
 		}
 	}
 	run := &smpRun{}
@@ -228,7 +234,7 @@ func runSMP(workers int, magazines bool) (*smpRun, error) {
 			if w.mag == nil {
 				run.lock.occupy(w.clk, smpLockHold)
 			} else if !hadStash {
-				// The miss refilled (or carved) under the shared lock.
+				// The miss exchanged, refilled or carved: a batched hold.
 				run.lock.occupy(w.clk, smpBatchHold)
 			}
 		case 1: // touch
@@ -241,7 +247,7 @@ func runSMP(workers int, magazines bool) (*smpRun, error) {
 			if w.mag == nil {
 				run.lock.occupy(w.clk, smpLockHold)
 			} else if w.mag.Depth() <= depth {
-				// The push overflowed the stash: half flushed under the lock.
+				// The push overflowed: a unit went back to the depot.
 				run.lock.occupy(w.clk, smpBatchHold)
 			}
 		}
@@ -316,21 +322,17 @@ func smpScalingValues() (map[string]float64, *Table, error) {
 	return vals, t, nil
 }
 
-// --- Burst sweep: depot vs magazine-only at 8/16/64 workers (PR 10) ------
+// --- Burst sweep: depot vs global lock at 8/16/64 workers ----------------
 //
 // The cycle workload above holds one buffer at a time, which a private
-// magazine absorbs almost entirely; it cannot show where magazine-only
-// allocation stops scaling. The burst workload allocates a batch, works on
-// it, then frees the batch — the shape of a NIC receive ring refill or a
-// pipeline stage draining its input — so every worker crosses its
-// magazine's capacity twice per round and the refill/flush traffic lands
-// on shared state. Three configurations bracket the depot claim:
+// magazine absorbs almost entirely; it cannot show what a magazine's
+// traffic to shared state costs. The burst workload allocates a batch,
+// works on it, then frees the batch — the shape of a NIC receive ring
+// refill or a pipeline stage draining its input — so every worker crosses
+// its magazine's capacity twice per round and the exchange traffic lands
+// on shared state. Two configurations bracket the depot claim:
 //
 //   - "global-lock": every op under the shared path lock (flat line).
-//   - "magazine": per-worker magazines over the shared free list. Each
-//     refill/flush moves items one at a time under the path lock, so the
-//     serialized section grows with the burst and caps speedup near 2-3x
-//     regardless of worker count.
 //   - "depot": magazines exchange whole units with the central depot —
 //     one constant-time swap under the depot's leaf lock — and the
 //     loose-inventory shards behind it spread assembly/spill traffic, so
@@ -355,9 +357,9 @@ const (
 	// smpBurstTouch is the per-buffer application work (1 us) — the
 	// parallel section of an alloc op.
 	smpBurstTouch = simtime.Duration(1000)
-	// smpItemHold is the shared-lock occupancy per item a magazine
-	// refill/flush moves (600 ns): item-at-a-time transfer is what the
-	// depot's whole-unit exchange eliminates.
+	// smpItemHold is the shared-lock occupancy per item a magazine refill
+	// from the path free list moves (600 ns): item-at-a-time transfer is
+	// what the depot's whole-unit exchange eliminates.
 	smpItemHold = simtime.Duration(600)
 	// smpDepotHold is the depot-lock occupancy of one whole-unit exchange
 	// (200 ns): a constant-time stack swap.
@@ -376,8 +378,8 @@ const (
 // of the cycle harness into the many-core regime.
 var smpBurstWorkerCounts = []int{1, 8, 16, 64}
 
-// smpBurstConfigs orders the three burst configurations.
-var smpBurstConfigs = []string{"global-lock", "magazine", "depot"}
+// smpBurstConfigs orders the two burst configurations.
+var smpBurstConfigs = []string{"global-lock", "depot"}
 
 // smpBurstRun is one burst configuration x worker-count measurement.
 type smpBurstRun struct {
@@ -417,7 +419,7 @@ func runSMPBurst(workers int, config string, seed int64) (*smpBurstRun, error) {
 	free := r.mgr.Free
 	var scratch *core.Magazine
 	if depot != nil {
-		scratch = r.path.NewMagazine(smpUnitCap)
+		scratch = depot.NewMagazine()
 		free = scratch.Free
 	}
 	for _, f := range warm {
@@ -432,8 +434,8 @@ func runSMPBurst(workers int, config string, seed int64) (*smpBurstRun, error) {
 	ws := make([]*smpWorker, workers)
 	for i := range ws {
 		ws[i] = &smpWorker{clk: &simtime.Clock{}, held: make([]*core.Fbuf, 0, smpBurst)}
-		if config != "global-lock" {
-			ws[i].mag = r.path.NewMagazine(smpUnitCap)
+		if depot != nil {
+			ws[i].mag = depot.NewMagazine()
 		}
 	}
 
@@ -466,18 +468,14 @@ func runSMPBurst(workers int, config string, seed int64) (*smpBurstRun, error) {
 			w.clk.Advance(smpBurstTouch)
 			return nil
 		}
-		// free half
+		// free half: a full stash rotates locally or exchanges a unit
 		if err := r.free(w); err != nil {
 			return err
 		}
-		switch {
-		case w.mag == nil:
+		if w.mag == nil {
 			run.lock.occupy(w.clk, smpLockHold)
-		case w.mag.ExchangeCount() > exch:
+		} else if w.mag.ExchangeCount() > exch {
 			exchange(wi, w)
-		case w.mag.Depth() < depth+1:
-			// Flushed item-at-a-time to the shared free list.
-			run.lock.occupy(w.clk, smpItemHold*simtime.Duration(depth+1-w.mag.Depth()))
 		}
 		return nil
 	})
@@ -506,7 +504,7 @@ func shardWaitP99(samples []simtime.Duration) float64 {
 // the burst table plus the per-shard contention heatmap.
 func smpBurstValues(seed int64, vals map[string]float64) ([]*Table, error) {
 	t := &Table{
-		Title:  "Burst alloc/free: depot vs magazine-only vs global lock (simulated cores)",
+		Title:  "Burst alloc/free: depot vs global lock (simulated cores)",
 		Header: []string{"config", "workers", "kpairs/s", "speedup", "lock wait us", "depot wait us", "exchanges"},
 		Note: fmt.Sprintf("burst of %d allocs then %d frees per round, %d rounds/worker, unit %d, %d shards, seed %d",
 			smpBurst, smpBurst, smpBurstRounds, smpUnitCap, smpDepotShards, seed),

@@ -16,10 +16,9 @@ import (
 // so a burst imbalance between producers and consumers degrades to sharded
 // (not global) contention.
 //
-// A depot is optional per-path state: paths without one (the default) keep
-// the PR 4 item-at-a-time magazine behavior bit-identical. Install one with
-// EnableDepot before workers start; magazines created afterwards exchange
-// with it automatically.
+// A depot is optional per-path state and the only backing of a magazine:
+// install one with EnableDepot before workers start, and create each
+// worker's magazine with its NewMagazine.
 //
 // Lock ranks (DESIGN.md §10): Depot.mu orders after every data-plane lock
 // and before the shard leaves — a unit swap may assemble or spill through
@@ -48,6 +47,11 @@ type depotShard struct {
 	acquires  uint64
 	contended uint64
 }
+
+// DefaultMagazineCap is the depot unit, and so the capacity of each of a
+// magazine's two stashes, used when EnableDepot is given a non-positive
+// unit.
+const DefaultMagazineCap = 16
 
 // DefaultDepotShards is the shard count used when EnableDepot is given a
 // non-positive one.

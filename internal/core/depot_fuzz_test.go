@@ -4,17 +4,42 @@ import (
 	"testing"
 
 	"fbufs/internal/domain"
+	"fbufs/internal/machine"
+	"fbufs/internal/simtime"
+	"fbufs/internal/vm"
 )
 
-// FuzzDepot extends FuzzMagazine's op language with the PR 10 many-core
-// machinery: two magazines over one depot-enabled path (unit 3, 2 shards,
-// maxFull 2 so spills and shard assemblies are reachable with tiny
-// sequences), two registered epoch workers, and ops that charge/discharge
-// the depot, reclaim idle frames, advance the epoch, pin/unpin workers, and
+// newMagFuzzRig mirrors newRig without a *testing.T so FuzzDepot's seed
+// registration (under *testing.F) can share it with the fuzz body.
+func newMagFuzzRig() *rig {
+	clk := &simtime.Clock{}
+	sys := vm.NewSystem(machine.DecStation5000(), 4096, vm.ClockSink{Clock: clk})
+	reg := domain.NewRegistry(sys)
+	mgr := NewManager(sys, reg)
+	r := &rig{clk: clk, sys: sys, reg: reg, mgr: mgr}
+	r.src = reg.New("src")
+	r.net = reg.New("netserver")
+	r.dst = reg.New("dst")
+	for _, d := range []*domain.Domain{r.src, r.net, r.dst} {
+		mgr.AttachDomain(d)
+	}
+	return r
+}
+
+// FuzzDepot drives byte-decoded op sequences, one op byte and one selector
+// byte per step, over two magazines sharing one depot-enabled
+// cached/volatile path (unit 3, 2 shards, maxFull 2 so spills and shard
+// assemblies are reachable with tiny sequences) and two registered epoch
+// workers. Ops 0-7 interleave magazine allocs and frees with direct path
+// allocations, full facility frees, transfers (which force the magazine's
+// slow free path) and mid-sequence drains; ops 8-13 charge/discharge the
+// depot, reclaim idle frames, advance the epoch, pin/unpin workers, and
 // evict the path mid-stream. The contract under test: no interleaving of
-// magazine exchanges, depot traffic, epoch parking, and eviction breaks the
-// deferred-counter books (one hit or miss per magazine Alloc call), the
-// global counter invariants, or convergence once the epochs drain.
+// the magazines' fast and slow paths, depot exchanges, epoch parking, and
+// eviction breaks the deferred-counter books (once drained, every magazine
+// Alloc call is visible as exactly one hit or miss), the global counter
+// invariants (Stats.Check), or convergence once the epochs drain
+// (CheckConverged).
 func FuzzDepot(f *testing.F) {
 	// Charge the free list into the depot, discharge it back, realloc.
 	f.Add([]byte{0x00, 0x00, 0x00, 0x01, 0x02, 0x00, 0x02, 0x00, 0x08, 0x00, 0x09, 0x00, 0x00, 0x00})
@@ -29,6 +54,14 @@ func FuzzDepot(f *testing.F) {
 	f.Add([]byte{0x00, 0x00, 0x00, 0x01, 0x02, 0x00, 0x0d, 0x00, 0x00, 0x00, 0x02, 0x00, 0x09, 0x00})
 	// Transfers and direct allocs mixed with epoch advances and drains.
 	f.Add([]byte{0x00, 0x00, 0x07, 0x00, 0x04, 0x00, 0x05, 0x00, 0x06, 0x00, 0x0b, 0x00, 0x0a, 0x07})
+	// Magazine alloc/free ping-pong.
+	f.Add([]byte{0x00, 0x02, 0x00, 0x02})
+	// Two magazines, a drain between.
+	f.Add([]byte{0x00, 0x00, 0x00, 0x01, 0x01, 0x06, 0x03})
+	// Direct alloc, transfer, direct free.
+	f.Add([]byte{0x04, 0x07, 0x00, 0x05, 0x00})
+	f.Add([]byte{0x00, 0x01, 0x02, 0x00, 0x03, 0x01, 0x07, 0x00, 0x06, 0x06})
+	f.Add([]byte{0x04, 0x04, 0x04, 0x04, 0x03, 0x00, 0x03, 0x01, 0x03, 0x02, 0x03, 0x03})
 
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 600 {
@@ -45,8 +78,8 @@ func FuzzDepot(f *testing.F) {
 		d.SetMaxFull(2)
 		w1 := r.mgr.RegisterEpochWorker()
 		w2 := r.mgr.RegisterEpochWorker()
-		magA := p.NewMagazine(3)
-		magB := p.NewMagazine(3)
+		magA := d.NewMagazine()
+		magB := d.NewMagazine()
 
 		var live []*Fbuf // src-held live fbufs, in allocation order
 		var magAllocCalls, allocs, frees uint64
@@ -181,8 +214,9 @@ func FuzzDepot(f *testing.F) {
 			t.Fatalf("EpochPending = %d after quiescent advances, want 0", pend)
 		}
 
-		// Same deferred-counter contract as FuzzMagazine: the depot refill
-		// path counts as a miss, so one hit or miss per Alloc call survives.
+		// Deferred-counter contract: a drained magazine holds nothing
+		// locally, and every magazine Alloc call merged as one hit or miss
+		// (a depot exchange counts as a miss).
 		for name, mag := range map[string]*Magazine{"A": magA, "B": magB} {
 			if d := mag.Depth(); d != 0 {
 				t.Errorf("magazine %s depth %d after Drain", name, d)

@@ -16,7 +16,7 @@ import (
 func TestParallelDepotStress(t *testing.T) {
 	r, checkSan := parallelRig(t)
 	p := r.path(t, CachedVolatile(), 1)
-	p.EnableDepot(4, 4)
+	d := p.EnableDepot(4, 4)
 
 	const workers, ops = 16, 1500
 	epochWorkers := make([]*EpochWorker, workers)
@@ -52,7 +52,7 @@ func TestParallelDepotStress(t *testing.T) {
 			defer wg.Done()
 			w := epochWorkers[slot]
 			defer w.Exit()
-			mag := p.NewMagazine(4)
+			mag := d.NewMagazine()
 			defer mag.Drain()
 			for op := 0; op < ops; op++ {
 				if op%64 == 0 {
@@ -121,7 +121,7 @@ func TestParallelDepotStress(t *testing.T) {
 func TestParallelExchangeStormSnapshot(t *testing.T) {
 	r, checkSan := parallelRig(t)
 	p := r.path(t, CachedVolatile(), 1)
-	p.EnableDepot(2, 2)
+	d := p.EnableDepot(2, 2)
 
 	const workers, ops = 8, 600
 	stop := make(chan struct{})
@@ -166,7 +166,7 @@ func TestParallelExchangeStormSnapshot(t *testing.T) {
 			// magazines both fill mid-burst, so every free burst pushes a
 			// unit into the depot and every alloc burst pulls one back —
 			// each exchange merging the deferred counters lock-free.
-			mag := p.NewMagazine(2)
+			mag := d.NewMagazine()
 			defer mag.Drain()
 			hold := make([]*Fbuf, 0, 6)
 			for op := 0; op < ops; op++ {

@@ -163,9 +163,9 @@ func TestEpochEdgeDomainDeathMidExchange(t *testing.T) {
 		tr := &edgeTrace{}
 		r := newRig(t)
 		p := r.path(t, CachedVolatile(), 1)
-		p.EnableDepot(2, 1)
+		d := p.EnableDepot(2, 1)
 		w := r.mgr.RegisterEpochWorker()
-		mag := p.NewMagazine(2)
+		mag := d.NewMagazine()
 
 		// Six allocations; freeing the first four leaves prev=[f3,f4]
 		// loaded locally and one full unit [f1,f2] in the depot.

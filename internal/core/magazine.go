@@ -7,17 +7,16 @@ import (
 	"fbufs/internal/domain"
 )
 
-// DefaultMagazineCap is the stash capacity used when NewMagazine is given a
-// non-positive capacity.
-const DefaultMagazineCap = 16
-
-// Magazine is a per-worker LIFO cache of free fbufs layered over a path's
-// shared free list, in the style of Bonwick's slab-magazine allocator. Each
-// worker owns one magazine per path it allocates from; steady-state
-// Alloc/Free cycles are served from the private stash and touch no shared
-// lock at all. The stash refills from — and flushes back to — the path free
-// list in batches of up to half the capacity, so the shared lock is paid
-// once per batch instead of once per buffer.
+// Magazine is a per-worker LIFO cache of free fbufs over a path's depot,
+// in the style of Bonwick's slab-magazine allocator. Each worker owns one
+// magazine per path it allocates from; steady-state Alloc/Free cycles are
+// served from the private stash and touch no shared lock at all. The
+// worker holds a loaded stash and a previous one, each one depot unit,
+// and swaps them locally when the loaded one runs dry or full, so a
+// strict alloc/free alternation at a unit boundary never touches the
+// depot. Only when both are empty (or both full) does the worker exchange
+// a whole unit with the depot: one constant-time swap under the depot's
+// leaf lock.
 //
 // A magazine belongs to one worker: its methods are not safe for concurrent
 // use on the same magazine (distinct magazines over one path are). It sits
@@ -28,24 +27,16 @@ const DefaultMagazineCap = 16
 // path closes, or the stashed fbufs stay invisible to the shared list.
 type Magazine struct {
 	path  *DataPath
-	cap   int
-	stash []*Fbuf
-
-	// prev is the Bonwick second magazine, used only when the path has a
-	// depot: a worker holds a loaded magazine (stash) and a previous one,
-	// swapping them locally when one runs dry or full so a strict
-	// alloc/free alternation at a magazine boundary never touches the
-	// depot. Only when both are empty (or both full) does the worker
-	// exchange a whole unit with the depot — one constant-time swap under
-	// the depot's leaf lock instead of an item-at-a-time refill.
-	prev []*Fbuf
+	depot *Depot
+	stash []*Fbuf // the loaded unit
+	prev  []*Fbuf // the previous unit
 
 	// Local counters, merged into the shared Stats/Contention groups on
-	// refill, flush, exchange, and Drain — the deferral is what keeps the
-	// hit path free of shared-cacheline traffic. Hit-served allocations
-	// count as Allocs+CacheHits and stash frees as Frees+Recycles, so the
-	// global invariants (Stats.Check) hold at quiescence once the magazine
-	// is drained.
+	// refill, exchange, and Drain — the deferral is what keeps the hit
+	// path free of shared-cacheline traffic. Hit-served allocations count
+	// as Allocs+CacheHits and stash frees as Frees+Recycles, so the global
+	// invariants (Stats.Check) hold at quiescence once the magazine is
+	// drained.
 	hits, misses, refills, flushes uint64
 	allocs, frees, recycles        uint64
 
@@ -56,13 +47,10 @@ type Magazine struct {
 	exchTotal uint64
 }
 
-// NewMagazine creates a magazine over the path with the given stash
-// capacity (DefaultMagazineCap if non-positive).
-func (p *DataPath) NewMagazine(capacity int) *Magazine {
-	if capacity <= 0 {
-		capacity = DefaultMagazineCap
-	}
-	return &Magazine{path: p, cap: capacity, stash: make([]*Fbuf, 0, capacity)}
+// NewMagazine creates a worker magazine over the depot's path; each of its
+// two stashes holds one depot unit.
+func (d *Depot) NewMagazine() *Magazine {
+	return &Magazine{path: d.path, depot: d, stash: make([]*Fbuf, 0, d.unit)}
 }
 
 // Path returns the data path the magazine allocates from.
@@ -72,7 +60,7 @@ func (g *Magazine) Path() *DataPath { return g.path }
 func (g *Magazine) Depth() int { return len(g.stash) + len(g.prev) }
 
 // ExchangeCount returns the lifetime number of depot unit exchanges this
-// magazine performed (0 on a path without a depot).
+// magazine performed.
 func (g *Magazine) ExchangeCount() uint64 { return g.exchTotal }
 
 // LocalStats returns the magazine's unflushed local counters
@@ -94,12 +82,12 @@ func (g *Magazine) popStash() *Fbuf {
 
 // Alloc allocates an fbuf for the path's originator. The fast path pops the
 // private stash with zero shared-lock traffic (swapping in the previous
-// magazine when the loaded one runs dry — still local). On a true miss a
-// depot-backed path exchanges an empty magazine for a full unit under one
-// leaf-lock swap; otherwise the stash refills item-at-a-time from the
-// shared free list under one lock acquisition, and if the shared list is
-// empty too the call falls through to the path's full Alloc (carve, fault
-// plane, events — the kernel boundary).
+// unit when the loaded one runs dry — still local). On a true miss the
+// magazine exchanges its empty stash for a full depot unit under one
+// leaf-lock swap; if the depot is empty the stash refills item-at-a-time
+// from the shared free list under one lock acquisition, and if the shared
+// list is empty too the call falls through to the path's full Alloc
+// (carve, fault plane, events — the kernel boundary).
 func (g *Magazine) Alloc() (*Fbuf, error) {
 	p := g.path
 	if len(g.stash) == 0 && len(g.prev) > 0 {
@@ -118,20 +106,18 @@ func (g *Magazine) Alloc() (*Fbuf, error) {
 		return f, nil
 	}
 	g.misses++
-	if d := p.depot; d != nil {
-		if unit, ok := d.ExchangeEmpty(); ok {
-			g.stash = unit
-			g.refills++
-			g.exchTotal++
-			g.mergeCounters()
-			f := g.popStash()
-			g.allocs++
-			if s := p.mgr.san; s != nil {
-				s.verifyReuse(f)
-			}
-			f.resetLive(p.Originator())
-			return f, nil
+	if unit, ok := g.depot.ExchangeEmpty(); ok {
+		g.stash = unit
+		g.refills++
+		g.exchTotal++
+		g.mergeCounters()
+		f := g.popStash()
+		g.allocs++
+		if s := p.mgr.san; s != nil {
+			s.verifyReuse(f)
 		}
+		f.resetLive(p.Originator())
+		return f, nil
 	}
 	p.lock()
 	if p.closed {
@@ -139,7 +125,7 @@ func (g *Magazine) Alloc() (*Fbuf, error) {
 		g.mergeCounters()
 		return nil, ErrPathClosed
 	}
-	take := g.cap
+	take := g.depot.unit
 	if take > len(p.free) {
 		take = len(p.free)
 	}
@@ -170,8 +156,8 @@ func (g *Magazine) Alloc() (*Fbuf, error) {
 // unsecured fbuf of this path — pushes the private stash with zero shared
 // traffic; anything else (transferred refs outstanding, secured, foreign
 // path, uncached) takes the facility's full Free path with its notice
-// machinery. A full stash flushes half back to the shared list under one
-// lock.
+// machinery. A full stash rotates into the previous slot or goes back to
+// the depot whole.
 func (g *Magazine) Free(f *Fbuf, d *domain.Domain) error {
 	p := g.path
 	m := p.mgr
@@ -196,7 +182,7 @@ func (g *Magazine) Free(f *Fbuf, d *domain.Domain) error {
 				s.poisonFree(f)
 			}
 			g.stash = append(g.stash, f)
-			if len(g.stash) >= g.cap {
+			if len(g.stash) >= g.depot.unit {
 				g.overflow()
 			}
 			return nil
@@ -208,22 +194,15 @@ func (g *Magazine) Free(f *Fbuf, d *domain.Domain) error {
 	return m.Free(f, d)
 }
 
-// overflow handles a loaded magazine that just reached capacity. With a
-// depot the full magazine rotates into the previous slot, and when both
-// are full the older unit is exchanged into the depot whole — one
-// constant-time leaf-lock swap. Without a depot, half the stash flushes
-// back to the shared free list item-at-a-time (the PR 4 behavior).
+// overflow handles a loaded stash that just filled: it rotates into the
+// previous slot, and when both are full the older unit is exchanged into
+// the depot whole — one constant-time leaf-lock swap.
 func (g *Magazine) overflow() {
-	d := g.path.depot
-	if d == nil {
-		g.flush(g.cap / 2)
-		return
-	}
 	if len(g.prev) == 0 {
 		g.stash, g.prev = g.prev, g.stash
 		return
 	}
-	d.ExchangeFull(g.prev)
+	g.depot.ExchangeFull(g.prev)
 	g.prev = g.stash
 	g.stash = nil
 	g.flushes++
@@ -231,53 +210,41 @@ func (g *Magazine) overflow() {
 	g.mergeCounters()
 }
 
-// Drain flushes the entire local inventory (loaded + previous) and all
-// deferred counters back to the shared path state. Call at worker exit and
-// before ClosePath or CheckInvariants — the facility's invariants only see
+// Drain returns the whole local inventory (previous, then loaded) to the
+// shared free list and merges all deferred counters, under one lock
+// acquisition. On a closed path the inventory is torn down through the
+// normal recycle machinery instead. Call at worker exit and before
+// ClosePath or CheckInvariants — the facility's invariants only see
 // drained magazines.
 func (g *Magazine) Drain() {
-	if len(g.prev) > 0 {
-		// Previous holds the older buffers: flush it first so the shared
-		// list receives oldest-first, like a plain flush of one stash.
-		g.stash = append(g.prev, g.stash...)
-		g.prev = nil
-	}
-	g.flush(len(g.stash))
-}
-
-// flush returns the n oldest stashed fbufs to the shared free list (keeping
-// the hot end local) and merges the deferred counters, all under one lock
-// acquisition. On a closed path the stash is torn down through the normal
-// recycle machinery instead.
-func (g *Magazine) flush(n int) {
 	p := g.path
+	inv := g.stash
+	if len(g.prev) > 0 {
+		// Previous holds the older buffers, so the shared list receives
+		// them first.
+		inv = append(g.prev, g.stash...)
+	}
+	g.prev, g.stash = nil, inv[:0]
 	p.lock()
 	if p.closed {
-		// Path closed with fbufs stashed: tear them down like free-listed
-		// buffers of a closed path. Recycles were already counted when
-		// the buffers entered the stash, so hand the teardown machinery
-		// raw buffers without re-counting.
-		stash := g.stash
-		g.stash = g.stash[:0]
+		// Recycles were already counted when the buffers entered the
+		// magazine, so hand the teardown machinery raw buffers without
+		// re-counting.
 		g.mergeCounters()
 		p.unlock()
-		for _, f := range stash {
+		for _, f := range inv {
 			p.mgr.teardownStashed(f)
 		}
 		return
 	}
-	if n > len(g.stash) {
-		n = len(g.stash)
-	}
-	if n > 0 {
-		p.free = append(p.free, g.stash[:n]...)
-		g.stash = append(g.stash[:0], g.stash[n:]...)
+	p.free = append(p.free, inv...)
+	if len(inv) > 0 {
 		g.flushes++
 	}
 	depth := len(p.free)
 	g.mergeCounters()
 	p.unlock()
-	if o := p.mgr.Sys.Obs; o != nil && n > 0 {
+	if o := p.mgr.Sys.Obs; o != nil && len(inv) > 0 {
 		p.ensureMetrics(o)
 		p.depthGauge.Set(int64(depth))
 	}
@@ -310,8 +277,8 @@ func (g *Magazine) mergeCounters() {
 	g.allocs, g.frees, g.recycles = 0, 0, 0
 }
 
-// teardownStashed fully releases an fbuf that was sitting in a magazine
-// stash when its path closed (its Recycles count was already taken).
+// teardownStashed fully releases an fbuf that was sitting in a magazine or
+// the depot when its path closed (its Recycles count was already taken).
 func (m *Manager) teardownStashed(f *Fbuf) {
 	if m.san != nil {
 		m.san.verifyReuse(f)

@@ -140,7 +140,8 @@ type Contention struct {
 	// fbuf from a shared free list into a magazine.
 	MagazineRefills uint64
 	// MagazineFlushes counts flush operations that returned at least one
-	// fbuf from a magazine to a shared free list.
+	// fbuf from a magazine: a whole unit into the depot, or a Drain onto
+	// the shared free list.
 	MagazineFlushes uint64
 	// DepotExchanges counts whole-magazine unit swaps with a path depot
 	// (full pushed or full popped), each one constant-time under the

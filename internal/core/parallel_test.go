@@ -46,6 +46,7 @@ func parallelRig(t *testing.T) (*rig, func()) {
 func TestParallelMagazineAllocFree(t *testing.T) {
 	r, checkSan := parallelRig(t)
 	p := r.path(t, CachedVolatile(), 1)
+	d := p.EnableDepot(0, 0)
 
 	const workers, ops = 8, 2000
 	errs := make([]error, workers)
@@ -54,7 +55,7 @@ func TestParallelMagazineAllocFree(t *testing.T) {
 		wg.Add(1)
 		go func(slot int) {
 			defer wg.Done()
-			mag := p.NewMagazine(0)
+			mag := d.NewMagazine()
 			defer mag.Drain()
 			for op := 0; op < ops; op++ {
 				f, err := mag.Alloc()
@@ -296,6 +297,7 @@ func TestParallelCrossPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	d1, d2 := p1.EnableDepot(8, 0), p2.EnableDepot(8, 0)
 
 	const workers, ops = 8, 1000
 	errs := make([]error, workers)
@@ -304,11 +306,11 @@ func TestParallelCrossPath(t *testing.T) {
 		wg.Add(1)
 		go func(slot int) {
 			defer wg.Done()
-			p, owner := p1, r.src
+			d, owner := d1, r.src
 			if slot%2 == 1 {
-				p, owner = p2, r.net
+				d, owner = d2, r.net
 			}
-			mag := p.NewMagazine(8)
+			mag := d.NewMagazine()
 			defer mag.Drain()
 			for op := 0; op < ops; op++ {
 				f, err := mag.Alloc()
@@ -337,12 +339,13 @@ func TestParallelCrossPath(t *testing.T) {
 // hits are stash pops, misses are Alloc calls that found the stash empty
 // (whether or not the refill found anything), refills and flushes count
 // only operations that actually moved buffers, and locals merge into the
-// shared Contention group on every miss, flush, and Drain.
+// shared Contention group on every miss, exchange, and Drain.
 func TestMagazineCounters(t *testing.T) {
 	r := newRig(t)
 	r.mgr.EnableSanitizer()
 	p := r.path(t, CachedVolatile(), 1)
-	mag := p.NewMagazine(4)
+	d := p.EnableDepot(4, 1)
+	mag := d.NewMagazine()
 
 	// Empty stash, empty shared list: a miss that carves. The miss path
 	// merges, so the shared group sees it at once — and no refill is
@@ -406,26 +409,44 @@ func TestMagazineCounters(t *testing.T) {
 		t.Fatalf("after refill: %+v", cont)
 	}
 
-	// Fill the stash to capacity: the push that reaches cap flushes half
-	// (the oldest end) back to the shared list under one lock.
-	if err := mag.Free(a, r.src); err != nil { // push to 4 == cap: flush 2
+	// Fill the stash: the push that fills it rotates the full stash into
+	// the previous slot locally. Nothing leaves the magazine and the depot
+	// is not touched.
+	if err := mag.Free(a, r.src); err != nil { // push to 4 == unit: rotate
 		t.Fatal(err)
 	}
-	if mag.Depth() != 2 {
-		t.Fatalf("Depth after flush = %d, want 2", mag.Depth())
+	if mag.Depth() != 4 || mag.ExchangeCount() != 0 {
+		t.Fatalf("after rotate: Depth = %d, ExchangeCount = %d, want 4, 0", mag.Depth(), mag.ExchangeCount())
 	}
 	cont = r.mgr.ContentionSnapshot()
-	if cont.MagazineFlushes != 1 {
-		t.Fatalf("MagazineFlushes = %d, want 1", cont.MagazineFlushes)
+	if cont.DepotExchanges != 0 || cont.MagazineFlushes != 0 || d.Inventory() != 0 {
+		t.Fatalf("after rotate: %+v, depot inventory %d; want no exchange", cont, d.Inventory())
 	}
-	if err := mag.Free(b, r.src); err != nil { // push to 3 < cap: no flush
-		t.Fatal(err)
+
+	// Fill the loaded stash again with the previous one full: the older
+	// unit goes into the depot whole, in one exchange.
+	fill := []*Fbuf{b}
+	for i := 0; i < 3; i++ {
+		f, err := p.Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fill = append(fill, f)
 	}
-	if mag.Depth() != 3 {
-		t.Fatalf("Depth = %d, want 3", mag.Depth())
+	for _, f := range fill {
+		if err := mag.Free(f, r.src); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if cont = r.mgr.ContentionSnapshot(); cont.MagazineFlushes != 1 {
-		t.Fatalf("MagazineFlushes = %d after non-flushing push, want 1", cont.MagazineFlushes)
+	if mag.Depth() != 4 || mag.ExchangeCount() != 1 {
+		t.Fatalf("after exchange: Depth = %d, ExchangeCount = %d, want 4, 1", mag.Depth(), mag.ExchangeCount())
+	}
+	cont = r.mgr.ContentionSnapshot()
+	if cont.DepotExchanges != 1 || cont.MagazineFlushes != 1 {
+		t.Fatalf("after exchange: %+v, want DepotExchanges 1, MagazineFlushes 1", cont)
+	}
+	if n := d.Inventory(); n != d.Unit() {
+		t.Fatalf("depot inventory = %d after one exchange, want one unit (%d)", n, d.Unit())
 	}
 
 	// Drain returns everything and merges the remaining locals; the
@@ -451,7 +472,7 @@ func TestMagazineFallbacks(t *testing.T) {
 	r := newRig(t)
 	r.mgr.EnableSanitizer()
 	p := r.path(t, CachedVolatile(), 1)
-	mag := p.NewMagazine(4)
+	mag := p.EnableDepot(4, 0).NewMagazine()
 
 	// Transferred ref outstanding: not the sole holder, so Free takes the
 	// full path (notices, no stash).
@@ -477,7 +498,7 @@ func TestMagazineFallbacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	umag := up.NewMagazine(4)
+	umag := up.EnableDepot(4, 0).NewMagazine()
 	uf, err := umag.Alloc()
 	if err != nil {
 		t.Fatal(err)

@@ -46,8 +46,8 @@ type DataPath struct {
 
 	// depot, when non-nil, is the central magazine depot between this
 	// path's free list and its workers' magazines (depot.go). Control-plane:
-	// installed by EnableDepot before workers start; nil keeps the PR 4
-	// item-at-a-time magazine behavior bit-identical.
+	// installed by EnableDepot before workers start; a path without one
+	// has no magazines.
 	depot *Depot
 
 	// quota is the chunk limit (0 = manager default, negative = unlimited).

@@ -9,7 +9,7 @@ import (
 )
 
 // newFuzzPair mirrors newTestPair without a *testing.T so FuzzRing's seed
-// registration can share it with the fuzz body (same split as FuzzMagazine).
+// registration can share it with the fuzz body (same split as FuzzDepot).
 func newFuzzPair(capacity int) (*Pair, *simtime.Clock, error) {
 	clk := &simtime.Clock{}
 	sys := vm.NewSystem(machine.DecStation5000(), 64, vm.ClockSink{Clock: clk})
