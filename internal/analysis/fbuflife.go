@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // FbufLife is the interprocedural lifecycle analyzer: a forward
@@ -62,6 +63,7 @@ type valInfo struct {
 	pos        token.Pos // origin: alloc site, param, or binding
 	owned      bool      // carries a free/transfer obligation
 	parent     int       // for vkElem: the batch value's id (-1 otherwise)
+	constIdx   string    // for vkElem under a constant index: its key
 	discharged bool      // Free/Transfer/escape seen anywhere (global)
 	paramSlot  int       // summary mode: slot this value entered as (-2 none)
 }
@@ -210,7 +212,10 @@ type lifeEngine struct {
 	vals     []*valInfo
 	siteVals map[token.Pos]int // origin site -> value id
 	elemVals map[string]int    // parentID "/" elemKey -> value id
-	funcEnv  map[types.Object]*types.Func
+	// constFrees maps an element Free site to the constant index it freed
+	// ("" when it freed a non-constant element, or two constants).
+	constFrees map[token.Pos]string
+	funcEnv    map[types.Object]*types.Func
 
 	sum        *funcSummary // non-nil in summary mode
 	record     bool         // true only during the final reporting pass
@@ -228,6 +233,7 @@ func newLifeEngine(pass *Pass, sums map[*types.Func]*funcSummary, report bool) *
 		report:     report,
 		siteVals:   map[token.Pos]int{},
 		elemVals:   map[string]int{},
+		constFrees: map[token.Pos]string{},
 		funcEnv:    map[types.Object]*types.Func{},
 		reported:   map[string]bool{},
 		goLits:     map[*ast.FuncLit]bool{},
@@ -255,6 +261,9 @@ func (e *lifeEngine) elemVal(b *valInfo, elemKey string) *valInfo {
 		return e.vals[id]
 	}
 	v := &valInfo{id: len(e.vals), kind: vkElem, pos: b.pos, parent: b.id, paramSlot: -2}
+	if strings.HasPrefix(elemKey, "lit:") {
+		v.constIdx = elemKey
+	}
 	e.vals = append(e.vals, v)
 	e.elemVals[key] = v.id
 	return v
@@ -729,8 +738,8 @@ func (e *lifeEngine) eval(fact *lifeFact, expr ast.Expr) []int {
 // keyed by site (distinct sites stay distinct, never merged).
 func indexKey(info *types.Info, idx ast.Expr) string {
 	idx = ast.Unparen(idx)
-	if lit, ok := idx.(*ast.BasicLit); ok {
-		return "lit:" + lit.Value
+	if tv, ok := info.Types[idx]; ok && tv.Value != nil {
+		return "lit:" + tv.Value.ExactString()
 	}
 	if id, ok := idx.(*ast.Ident); ok {
 		if obj := info.ObjectOf(id); obj != nil {
@@ -1007,12 +1016,12 @@ func (e *lifeEngine) applyFree(fact *lifeFact, st *lifeVal, v *valInfo,
 
 	var viol *LifeViolation
 	var prev token.Pos
-	check := func(r *freeRec) {
+	check := func(r *freeRec, distinct func(token.Pos) bool) {
 		if viol != nil || r == nil || domKey == "" {
 			return
 		}
 		for p := range r.sites {
-			if p != site && e.sitePrecedes(p, site) {
+			if p != site && !distinct(p) && e.sitePrecedes(p, site) {
 				viol, prev = doubleFreeViolation(), p
 				return
 			}
@@ -1024,11 +1033,13 @@ func (e *lifeEngine) applyFree(fact *lifeFact, st *lifeVal, v *valInfo,
 			}
 		}
 	}
-	check(rec)
+	check(rec, func(token.Pos) bool { return false })
 
 	// Element/batch interplay: freeing an element consults the parent
 	// batch's whole-batch frees; freeing the batch consults element-level
-	// frees recorded on it.
+	// frees recorded on it. A constant-index element is a different buffer
+	// from every other constant index, so their frees on the parent are
+	// not earlier frees of it.
 	var parentSt *lifeVal
 	var parentRec *freeRec
 	if v.kind == vkElem && v.parent >= 0 {
@@ -1041,7 +1052,10 @@ func (e *lifeEngine) applyFree(fact *lifeFact, st *lifeVal, v *valInfo,
 			parentRec = &freeRec{}
 			parentSt.freed[domKey] = parentRec
 		}
-		check(parentRec)
+		check(parentRec, func(p token.Pos) bool {
+			k := e.constFrees[p]
+			return v.constIdx != "" && k != "" && k != v.constIdx
+		})
 	}
 
 	if viol != nil && rec.credits > 0 {
@@ -1069,6 +1083,11 @@ func (e *lifeEngine) applyFree(fact *lifeFact, st *lifeVal, v *valInfo,
 			parentRec.sites = map[token.Pos]bool{}
 		}
 		parentRec.sites[site] = true
+		if k, seen := e.constFrees[site]; !seen {
+			e.constFrees[site] = v.constIdx
+		} else if k != v.constIdx {
+			e.constFrees[site] = ""
+		}
 		e.discharge([]int{v.parent})
 		parentSt.mask |= LSFreed
 	}

@@ -204,6 +204,34 @@ func elementsThenFreeBatch(mgr *core.Manager, p *core.DataPath, d *core.Domain) 
 	_ = mgr.FreeBatch(bufs, d) // want "fbuf freed twice in the same domain"
 }
 
+func distinctElementsFree(mgr *core.Manager, p *core.DataPath, d *core.Domain) {
+	bufs := make([]*core.Fbuf, 2)
+	_, _ = p.AllocBatch(bufs)
+	_ = mgr.Free(bufs[0], d)
+	_ = mgr.Free(bufs[1], d) // distinct constant indices: two buffers, two frees
+}
+
+func distinctParamElementsFree(mgr *core.Manager, bufs []*core.Fbuf, d *core.Domain) {
+	_ = mgr.Free(bufs[0], d)
+	_ = mgr.Free(bufs[1], d) // the same on a slice parameter
+}
+
+func sameConstElementFree(mgr *core.Manager, p *core.DataPath, d *core.Domain) {
+	bufs := make([]*core.Fbuf, 2)
+	_, _ = p.AllocBatch(bufs)
+	retire(mgr, bufs[1], d)
+	_ = mgr.Free(bufs[1], d) // want "fbuf freed twice in the same domain"
+}
+
+func constThenLoopElementFree(mgr *core.Manager, p *core.DataPath, d *core.Domain) {
+	bufs := make([]*core.Fbuf, 2)
+	_, _ = p.AllocBatch(bufs)
+	retire(mgr, bufs[0], d)
+	for i := range bufs {
+		_ = mgr.Free(bufs[i], d) // want "fbuf freed twice in the same domain"
+	}
+}
+
 // --- goroutine handoff ----------------------------------------------------
 
 func handoffWithoutTransfer(p *core.DataPath, d *core.Domain) {
