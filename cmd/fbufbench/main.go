@@ -33,8 +33,8 @@
 // for CI matrix fan-out. -exp rings sweeps message sizes over the legacy
 // IPC and ring data planes; -seed N picks the synthetic doorbell schedule.
 // -exp smp prints the deterministic simulated-SMP scaling tables — the
-// cycle sweep, the 8/16/64-worker burst sweep (global lock vs magazine vs
-// depot), and the per-shard depot contention heatmap; -seed N perturbs
+// cycle sweep, the 8/16/64-worker burst sweep (global lock vs depot),
+// and the per-shard depot contention heatmap; -seed N perturbs
 // the burst harness's shard placement for the determinism matrix.
 package main
 
