@@ -223,6 +223,13 @@ func sameConstElementFree(mgr *core.Manager, p *core.DataPath, d *core.Domain) {
 	_ = mgr.Free(bufs[1], d) // want "fbuf freed twice in the same domain"
 }
 
+func sameConstantTwoSpellings(mgr *core.Manager, p *core.DataPath, d *core.Domain) {
+	bufs := make([]*core.Fbuf, 2)
+	_, _ = p.AllocBatch(bufs)
+	retire(mgr, bufs[1], d)
+	_ = mgr.Free(bufs[0x1], d) // want "fbuf freed twice in the same domain"
+}
+
 func constThenLoopElementFree(mgr *core.Manager, p *core.DataPath, d *core.Domain) {
 	bufs := make([]*core.Fbuf, 2)
 	_, _ = p.AllocBatch(bufs)
