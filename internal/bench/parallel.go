@@ -50,9 +50,8 @@ const (
 	// smpLockHold models the shared-lock occupancy of one locked alloc or
 	// free (1.5 us) — the serialized section of a global-lock cycle.
 	smpLockHold = simtime.Duration(1500)
-	// smpBatchHold models the occupancy of a magazine miss or overflow
-	// that reaches shared state: a unit exchange, a batched refill, or a
-	// carve (3 us).
+	// smpBatchHold models the occupancy of a magazine miss that reaches
+	// shared state: a unit exchange, a batched refill, or a carve (3 us).
 	smpBatchHold = simtime.Duration(3000)
 )
 
@@ -240,15 +239,13 @@ func runSMP(workers int, magazines bool) (*smpRun, error) {
 		case 1: // touch
 			w.clk.Advance(smpTouchCost)
 		case 2: // free
-			depth := w.depth()
 			if err := r.free(w); err != nil {
 				return err
 			}
+			// A magazine free only pushes the stash: a worker holds one
+			// fbuf at a time, so its stash never fills.
 			if w.mag == nil {
 				run.lock.occupy(w.clk, smpLockHold)
-			} else if w.mag.Depth() <= depth {
-				// The push overflowed: a unit went back to the depot.
-				run.lock.occupy(w.clk, smpBatchHold)
 			}
 		}
 		return nil
