@@ -105,7 +105,10 @@ func (d *Depot) Unit() int { return d.unit }
 // Shards returns the shard count.
 func (d *Depot) Shards() int { return len(d.shards) }
 
-// lock acquires a shard's lock, counting traffic and contention.
+// lock acquires a shard's lock, counting traffic and contention. The
+// exchanges and drain take it; the diagnostic reads (Inventory,
+// snapshotInventory, ShardStats) take s.mu directly, so reading the counters
+// does not move them.
 func (s *depotShard) lock() {
 	atomic.AddUint64(&s.acquires, 1)
 	if s.mu.TryLock() {
@@ -207,9 +210,9 @@ func (d *Depot) Inventory() int {
 		n += len(u)
 	}
 	for _, s := range d.shards {
-		s.lock()
+		s.mu.Lock()
 		n += len(s.free)
-		s.unlock()
+		s.mu.Unlock()
 	}
 	d.mu.Unlock()
 	return n
@@ -225,9 +228,9 @@ func (d *Depot) snapshotInventory() []*Fbuf {
 		out = append(out, d.full[i]...)
 	}
 	for _, s := range d.shards {
-		s.lock()
+		s.mu.Lock()
 		out = append(out, s.free...)
-		s.unlock()
+		s.mu.Unlock()
 	}
 	d.mu.Unlock()
 	return out
@@ -331,9 +334,9 @@ func (d *Depot) ShardStats() []DepotShardStat {
 	for i, s := range d.shards {
 		out[i].Acquires = atomic.LoadUint64(&s.acquires)
 		out[i].Contended = atomic.LoadUint64(&s.contended)
-		s.lock()
+		s.mu.Lock()
 		out[i].Depth = len(s.free)
-		s.unlock()
+		s.mu.Unlock()
 	}
 	return out
 }
