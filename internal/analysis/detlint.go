@@ -24,10 +24,11 @@ import (
 //
 // _test.go files are exempt (tests may race goroutines on purpose), and a
 // file can opt out wholesale with a `//detlint:parallel` comment — the
-// escape hatch for code that deliberately measures real concurrency (the
-// wall-clock parallel benchmark driver) and therefore sits outside the
-// deterministic-trace contract. The pragma is file-scoped and visible in
-// review; simulator packages proper must never carry it.
+// escape hatch for code that deliberately reads host time (perfbench's
+// wall-clock measurement, perfbench/measure.go and perfbench/spans.go) and
+// therefore sits outside the deterministic-trace contract. The pragma is
+// file-scoped and visible in review; simulator packages proper must never
+// carry it.
 var DetLint = &Analyzer{
 	Name: "detlint",
 	Doc:  "forbid wall-clock time, unseeded math/rand, goroutines, and map-order-dependent output in simulator code",
