@@ -7,6 +7,7 @@
 //	fbufsim [-mode cached-volatile|volatile|cached|plain] [-pages N] [-hops N] [-domains N]
 //	        [-profile] [-flightrec dump.json]
 //	        [-trace out.json] [-metrics out.json] [-events=false]
+//	fbufsim -stack [-mode ...] [-bytes N] [-profile] [-flightrec dump.json] [-trace out.json]
 //
 // Example output (cached-volatile, second hop): every line shows the
 // simulated time consumed by that step, with the tracer's structured
@@ -18,6 +19,11 @@
 // the run's transfers; -flightrec keeps a bounded flight recorder attached
 // and writes a Perfetto dump to the given path if an anomaly (allocation
 // failure, copy fallback, fault verdict) trips it.
+//
+// -stack instead sends a warm-up and then one measured message through the
+// paper's 3-domain UDP/IP loopback stack (app | netserver | receiver) and
+// prints the span profiler's layer × stage attribution of the measured
+// message, whose rows sum to its end-to-end time, then the total.
 package main
 
 import (
@@ -33,7 +39,6 @@ import (
 	"fbufs/internal/obs/profile"
 	"fbufs/internal/obs/span"
 	"fbufs/internal/protocols"
-	"fbufs/internal/xkernel"
 )
 
 // validModes lists the -mode spellings, in the order help text shows them.
@@ -215,7 +220,9 @@ func attachProfile(o *obs.Observer, cfg config) (*profile.Profiler, *profile.Fli
 	if !cfg.profile && cfg.flightPath == "" {
 		return nil, nil
 	}
-	o.Spans = span.NewRecorder(64)
+	if o.Spans == nil {
+		o.Spans = span.NewRecorder(16)
+	}
 	var p *profile.Profiler
 	if cfg.profile {
 		p = profile.NewProfiler()
@@ -287,24 +294,23 @@ func export(sys *fbufs.System, o *obs.Observer, cfg config) error {
 }
 
 // traceStack runs the paper's 3-domain UDP/IP loopback configuration with
-// every layer instrumented, and prints the per-layer cost breakdown for a
-// steady-state message (warm-up traffic excluded).
+// the span layer attached, and prints the span profiler's layer × stage
+// attribution of a steady-state message (the warm-up message excluded).
 func traceStack(w io.Writer, opts fbufs.Options, cfg config) error {
 	sys := fbufs.New(1 << 14)
 	if cfg.fbsan {
 		sys.Fbufs.EnableSanitizer()
 	}
 	o := sys.Observe(1 << 16)
+	o.Spans = span.NewRecorder(16)
 	prof, fr := attachProfile(o, cfg)
 	src := sys.NewDomain("app")
 	net := sys.NewDomain("netserver")
 	sink := sys.NewDomain("receiver")
-	probes := xkernel.NewProbeSet(func() fbufs.Time { return sys.Now() })
 	s, err := protocols.NewLoopbackStack(sys.Env, protocols.StackConfig{
 		Src: src, Net: net, Sink: sink,
 		Opts:     opts,
 		PDUBytes: 4096 + protocols.UDPHeaderBytes,
-		Wrap:     func(l xkernel.Layer) xkernel.Layer { return probes.Wrap(l) },
 	})
 	if err != nil {
 		return err
@@ -313,16 +319,21 @@ func traceStack(w io.Writer, opts fbufs.Options, cfg config) error {
 	if err := s.Send(cfg.msgBytes); err != nil {
 		return err
 	}
-	probes.Reset()
+	warm := o.Spans.CompletedCount()
 	start := sys.Now()
 	if err := s.Send(cfg.msgBytes); err != nil {
 		return err
 	}
 	total := sys.Now() - start
+	measured := profile.NewProfiler()
+	traces := o.Spans.Completed()
+	for _, tr := range traces[len(traces)-int(o.Spans.CompletedCount()-warm):] {
+		measured.Add(tr)
+	}
 
 	fmt.Fprintf(w, "fbufsim -stack: %s fbufs, %d-byte message, app | netserver (UDP/IP) | receiver\n", cfg.mode, cfg.msgBytes)
-	fmt.Fprintf(w, "exclusive simulated time per layer (steady state; proxies/IPC are\naccounted to the layer that invoked them):\n\n")
-	if err := probes.Report(w); err != nil {
+	fmt.Fprintf(w, "simulated time per layer and stage (steady state; each instant goes to\nthe innermost span covering it):\n\n")
+	if err := measured.Report().WriteText(w); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "\ntotal: %v for %d bytes = %.0f Mb/s\n",

@@ -192,6 +192,10 @@ func TestStackModeTrace(t *testing.T) {
 	if !strings.Contains(out.String(), "Mb/s") {
 		t.Error("stack mode output missing throughput line")
 	}
+	// The attribution folds the measured message alone, not the warm-up.
+	if !strings.Contains(out.String(), "path data        traces 1 ") {
+		t.Errorf("stack mode attribution is not one data trace:\n%s", out.String())
+	}
 	data, err := os.ReadFile(cfg.tracePath)
 	if err != nil {
 		t.Fatal(err)

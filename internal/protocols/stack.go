@@ -30,10 +30,6 @@ type StackConfig struct {
 
 	// Checksum enables UDP checksumming.
 	Checksum bool
-
-	// Wrap, when set, wraps every layer before wiring (instrumentation:
-	// pass an xkernel.ProbeSet's Wrap).
-	Wrap func(xkernel.Layer) xkernel.Layer
 }
 
 // LoopbackStack is the paper's third-experiment configuration: a UDP/IP
@@ -84,16 +80,10 @@ func NewLoopbackStack(env *xkernel.Env, cfg StackConfig) (*LoopbackStack, error)
 	s.IP = NewIP(env, netCtx, cfg.PDUBytes)
 	s.Loop = NewLoopback(env, netCtx)
 
-	wrap := cfg.Wrap
-	if wrap == nil {
-		wrap = func(l xkernel.Layer) xkernel.Layer { return l }
-	}
-	source, udp, ip, loop, sink :=
-		wrap(s.Source), wrap(s.UDP), wrap(s.IP), wrap(s.Loop), wrap(s.Sink)
-	xkernel.Connect(env, source, udp)
-	xkernel.Connect(env, udp, ip)
-	xkernel.Connect(env, ip, loop)
-	s.UDP.Bind(testPort, xkernel.Attach(env, sink, cfg.Net))
+	xkernel.Connect(env, s.Source, s.UDP)
+	xkernel.Connect(env, s.UDP, s.IP)
+	xkernel.Connect(env, s.IP, s.Loop)
+	s.UDP.Bind(testPort, xkernel.Attach(env, s.Sink, cfg.Net))
 	return s, nil
 }
 

@@ -226,111 +226,3 @@ func TestBaseUnwired(t *testing.T) {
 		t.Fatal("name")
 	}
 }
-
-func TestProbeExclusiveAccounting(t *testing.T) {
-	r := newRig(t)
-	d := r.reg.New("mono")
-	r.mgr.AttachDomain(d)
-
-	// A three-layer chain where each layer burns a known cost before
-	// forwarding: exclusive attribution must recover exactly those costs.
-	burn := func(us int64) { r.sys.Sink().Charge(simtime.US(us)) }
-	top := &costLayer{Base: NewBase("top", d), burnPush: func() { burn(10) }}
-	mid := &costLayer{Base: NewBase("mid", d), burnPush: func() { burn(20) }}
-	bot := &costLayer{Base: NewBase("bot", d), burnPush: func() { burn(40) }}
-
-	ps := NewProbeSet(func() simtime.Time { return r.clk.Now() })
-	pt, pm, pb := ps.Wrap(top), ps.Wrap(mid), ps.Wrap(bot)
-	Connect(r.env, pt, pm)
-	Connect(r.env, pm, pb)
-
-	ctx := r.ctxFor(t, d)
-	m, _ := ctx.NewData([]byte("x"))
-	if err := pt.Push(m); err != nil {
-		t.Fatal(err)
-	}
-	if pt.PushTime != simtime.US(10) || pm.PushTime != simtime.US(20) || pb.PushTime != simtime.US(40) {
-		t.Fatalf("exclusive push times %v/%v/%v, want 10/20/40us",
-			pt.PushTime, pm.PushTime, pb.PushTime)
-	}
-	if pt.Pushes != 1 || pm.Pushes != 1 || pb.Pushes != 1 {
-		t.Fatal("push counts wrong")
-	}
-
-	var buf bytes.Buffer
-	if err := ps.Report(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"top@mono", "mid@mono", "bot@mono", "40.000us"} {
-		if !bytes.Contains(buf.Bytes(), []byte(want)) {
-			t.Errorf("report missing %q:\n%s", want, buf.String())
-		}
-	}
-	ps.Reset()
-	if pt.PushTime != 0 || pt.Pushes != 0 {
-		t.Fatal("reset did not clear")
-	}
-}
-
-// costLayer burns simulated time then forwards (or frees at the bottom).
-type costLayer struct {
-	Base
-	burnPush func()
-}
-
-func (c *costLayer) Push(m *aggregate.Msg) error {
-	c.burnPush()
-	if c.Below() == nil {
-		return m.Free(c.Dom())
-	}
-	return c.PushBelow(m)
-}
-
-func (c *costLayer) Deliver(m *aggregate.Msg) error {
-	if c.Above() == nil {
-		return m.Free(c.Dom())
-	}
-	return c.DeliverAbove(m)
-}
-
-func TestProbeDirectionChange(t *testing.T) {
-	// A bottom layer whose Push turns the message around (loopback
-	// style): the child's Deliver time must be subtracted from the
-	// parent's *Push* figure, never producing negatives.
-	r := newRig(t)
-	d := r.reg.New("mono")
-	r.mgr.AttachDomain(d)
-	sinkCost := func() { r.sys.Sink().Charge(simtime.US(30)) }
-	sink := &costLayer{Base: NewBase("sink", d), burnPush: nil}
-	turn := &turnLayer{Base: NewBase("turn", d), cost: func() { r.sys.Sink().Charge(simtime.US(5)) }}
-	_ = sinkCost
-
-	ps := NewProbeSet(func() simtime.Time { return r.clk.Now() })
-	psink, pturn := ps.Wrap(sink), ps.Wrap(turn)
-	Connect(r.env, psink, pturn)
-
-	ctx := r.ctxFor(t, d)
-	m, _ := ctx.NewData([]byte("y"))
-	if err := pturn.Push(m); err != nil {
-		t.Fatal(err)
-	}
-	if pturn.PushTime != simtime.US(5) {
-		t.Fatalf("turn push %v, want 5us", pturn.PushTime)
-	}
-	if pturn.DeliverTime < 0 || psink.DeliverTime < 0 {
-		t.Fatalf("negative exclusive time: turn=%v sink=%v",
-			pturn.DeliverTime, psink.DeliverTime)
-	}
-}
-
-// turnLayer charges then bounces the message back up, like the loopback.
-type turnLayer struct {
-	Base
-	cost func()
-}
-
-func (l *turnLayer) Push(m *aggregate.Msg) error {
-	l.cost()
-	return l.DeliverAbove(m)
-}
-func (l *turnLayer) Deliver(m *aggregate.Msg) error { return m.Free(l.Dom()) }
