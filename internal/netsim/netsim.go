@@ -404,12 +404,13 @@ func dedupDomains(ds ...*domain.Domain) []*domain.Domain {
 func (h *Host) Exec(ready simtime.Time, task func() error) error {
 	h.meter.Total = 0
 	if o := h.Sys.Obs; o != nil {
-		// While the task runs, the span clock advances with the simulated
-		// CPU work the task accrues, anchored at its release time — so
-		// spans inside the task get real durations even though the event
-		// clock only moves between scheduler events.
-		o.SetSpanNow(func() simtime.Time { return ready + h.meter.Total })
-		defer o.SetSpanNow(nil)
+		// While the task runs, the observer's clock advances with the
+		// simulated CPU work the task accrues, anchored at its release
+		// time — so events, spans and latency histograms inside the task
+		// see real durations even though the scheduler clock only moves
+		// between scheduler events. Afterwards the scheduler clock is back.
+		o.SetNow(func() simtime.Time { return ready + h.meter.Total })
+		defer o.SetNow(h.sched.Now)
 	}
 	err := task()
 	d := h.meter.Take()

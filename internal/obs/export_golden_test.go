@@ -8,8 +8,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"fbufs/internal/simtime"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -19,26 +17,19 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 // events), named and unnamed actors, and sub-microsecond timestamps.
 func goldenTracer() *Tracer {
 	tr := NewTracer(64)
-	var now simtime.Time
-	tr.SetNow(func() simtime.Time { return now })
 	tr.SetActor(0, "kernel")
 	tr.SetActor(1, "app")
 	tr.SetTrack(0, "tx-data")
 
-	now = 0
-	tr.Emit(EvAlloc, 0, 0, 1, 4)
-	now = 1500 // 1.5 us: exercises the fractional-microsecond format
-	tr.Emit(EvTransfer, 0, 0, 1, 4)
-	now = 2000
-	tr.Emit(EvMappingBuilt, 1, 0, 1, 4)
-	now = 110_000
-	tr.Emit(EvFree, 1, 0, 1, 4)
+	tr.Emit(0, EvAlloc, 0, 0, 1, 4)
+	// 1.5 us: exercises the fractional-microsecond format.
+	tr.Emit(1500, EvTransfer, 0, 0, 1, 4)
+	tr.Emit(2000, EvMappingBuilt, 1, 0, 1, 4)
+	tr.Emit(110_000, EvFree, 1, 0, 1, 4)
 	// Host-level event: NoActor/NoTrack must land on the reserved pid 0.
-	now = 111_003
-	tr.Emit(EvLinkFault, NoActor, NoTrack, 0, 1)
+	tr.Emit(111_003, EvLinkFault, NoActor, NoTrack, 0, 1)
 	// An actor with no registered name falls back to "domain N".
-	now = 120_000
-	tr.Emit(EvRecycle, 7, NoTrack, 2, 4)
+	tr.Emit(120_000, EvRecycle, 7, NoTrack, 2, 4)
 	return tr
 }
 

@@ -9,7 +9,9 @@
 // Events are stamped with simulated time, a trace actor (domain ID plus the
 // host's trace base), a track (data-path ID plus trace base, or -1), and
 // the fbuf's recycle generation, so a Chrome trace-event export shows
-// domains as processes and data paths as tracks in Perfetto.
+// domains as processes and data paths as tracks in Perfetto. Events, spans
+// and the latency histograms all read one clock, the observer's (SetNow),
+// so a transfer's events fall inside its spans.
 package obs
 
 import (
@@ -116,10 +118,11 @@ type Event struct {
 	Arg    int64  // kind-specific payload (pages, bytes, VPN, batch size)
 }
 
-// Tracer is a bounded ring buffer of events. A nil *Tracer is valid and
-// ignores every call — the disabled fast path. The ring is guarded by a
-// mutex so concurrent workers can emit into one tracer; interleaving of
-// events from different workers is scheduler-dependent, which is why the
+// Tracer is a bounded ring buffer of events; the caller stamps each event
+// (Observer.Emit passes its clock). A nil *Tracer is valid and ignores
+// every call — the disabled fast path. The ring is guarded by a mutex so
+// concurrent workers can emit into one tracer; interleaving of events from
+// different workers is scheduler-dependent, which is why the
 // deterministic-trace tests run in the single-threaded default mode.
 type Tracer struct {
 	mu    sync.Mutex
@@ -128,7 +131,6 @@ type Tracer struct {
 	n     int    // valid events, <= len(buf)
 	total uint64 // events ever emitted (sequence numbers)
 
-	now    func() simtime.Time
 	actors map[int]string // trace actor id -> display name
 	tracks map[int]string // trace track id -> display name
 }
@@ -146,19 +148,10 @@ func NewTracer(capacity int) *Tracer {
 	}
 }
 
-// SetNow installs the simulated-clock reader used to stamp events.
-func (t *Tracer) SetNow(fn func() simtime.Time) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.now = fn
-	t.mu.Unlock()
-}
-
-// Emit records one event. Safe on a nil receiver (tracing disabled) and on
-// a zero-value Tracer not built via NewTracer (no ring: events are dropped).
-func (t *Tracer) Emit(kind EventKind, domain, path int, gen uint64, arg int64) {
+// Emit records one event stamped at. Safe on a nil receiver (tracing
+// disabled) and on a zero-value Tracer not built via NewTracer (no ring:
+// events are dropped).
+func (t *Tracer) Emit(at simtime.Time, kind EventKind, domain, path int, gen uint64, arg int64) {
 	if t == nil {
 		return
 	}
@@ -166,10 +159,6 @@ func (t *Tracer) Emit(kind EventKind, domain, path int, gen uint64, arg int64) {
 	if len(t.buf) == 0 {
 		t.mu.Unlock()
 		return
-	}
-	var at simtime.Time
-	if t.now != nil {
-		at = t.now()
 	}
 	t.buf[t.next] = Event{At: at, Kind: kind, Domain: domain, Path: path, Gen: gen, Arg: arg}
 	t.next++
@@ -325,13 +314,7 @@ type Observer struct {
 	Metrics *Registry
 	Spans   *span.Recorder
 
-	now func() simtime.Time
-	// spanNow, when set, overrides now for span timestamps only. The
-	// netsim Host.Exec installs it so spans inside a metered task see
-	// simulated time advance with the task's charges (the scheduler clock
-	// is frozen for the task's whole activation); event timestamps keep
-	// the scheduler clock so deterministic traces are unchanged.
-	spanNow func() simtime.Time
+	now func() simtime.Time // the one clock: event stamps, spans, latencies
 }
 
 // New creates an observer with an event ring of the given capacity and an
@@ -340,14 +323,15 @@ func New(eventCap int) *Observer {
 	return &Observer{Tracer: NewTracer(eventCap), Metrics: NewRegistry()}
 }
 
-// SetNow installs the simulated-clock reader (for event stamps and latency
-// measurements). Safe on nil.
+// SetNow installs the simulated-clock reader that stamps events and spans
+// and times latency histograms. A host that meters a task's work installs
+// a clock that advances with the task's charges while it runs (netsim's
+// Host.Exec). Safe on nil.
 func (o *Observer) SetNow(fn func() simtime.Time) {
 	if o == nil {
 		return
 	}
 	o.now = fn
-	o.Tracer.SetNow(fn)
 }
 
 // Now reads the attached simulated clock; zero when none is attached.
@@ -358,12 +342,13 @@ func (o *Observer) Now() simtime.Time {
 	return o.now()
 }
 
-// Emit records an event through the tracer. Safe on nil.
+// Emit records an event through the tracer, stamped with the observer's
+// clock. Safe on nil.
 func (o *Observer) Emit(kind EventKind, domain, path int, gen uint64, arg int64) {
-	if o == nil {
+	if o == nil || o.Tracer == nil {
 		return
 	}
-	o.Tracer.Emit(kind, domain, path, gen, arg)
+	o.Tracer.Emit(o.Now(), kind, domain, path, gen, arg)
 }
 
 // PublishSelfMetrics writes the tracer's own ring statistics into the
@@ -389,30 +374,6 @@ func (o *Observer) Observe(name string, v int64) {
 	o.Metrics.Histogram(name).Observe(v)
 }
 
-// SetSpanNow installs (or, with nil, removes) a clock override used only
-// for span timestamps. Safe on nil.
-func (o *Observer) SetSpanNow(fn func() simtime.Time) {
-	if o == nil {
-		return
-	}
-	o.spanNow = fn
-}
-
-// SpanNow reads the span clock: the override when installed, else the
-// attached simulated clock. Safe on nil.
-func (o *Observer) SpanNow() simtime.Time {
-	if o == nil {
-		return 0
-	}
-	if o.spanNow != nil {
-		return o.spanNow()
-	}
-	if o.now != nil {
-		return o.now()
-	}
-	return 0
-}
-
 // SpanBegin opens a child span of the current trace. Every SpanBegin must
 // be paired with a SpanEnd on all return paths (the fbufvet obshook
 // analyzer enforces the pairing statically). Safe on nil.
@@ -420,7 +381,7 @@ func (o *Observer) SpanBegin(stage span.Stage, layer string, actor int, arg int6
 	if o == nil || o.Spans == nil {
 		return
 	}
-	o.Spans.Begin(stage, layer, actor, o.SpanNow(), arg)
+	o.Spans.Begin(stage, layer, actor, o.Now(), arg)
 }
 
 // SpanEnd closes the innermost open span. Safe on nil.
@@ -428,7 +389,7 @@ func (o *Observer) SpanEnd() {
 	if o == nil || o.Spans == nil {
 		return
 	}
-	o.Spans.End(o.SpanNow())
+	o.Spans.End(o.Now())
 }
 
 // BeginTrace opens a new transfer trace (label: transfer class, arg:
@@ -438,7 +399,7 @@ func (o *Observer) BeginTrace(label string, arg int64) uint64 {
 	if o == nil || o.Spans == nil {
 		return 0
 	}
-	return o.Spans.BeginTrace(o.SpanNow(), label, arg)
+	return o.Spans.BeginTrace(o.Now(), label, arg)
 }
 
 // AbortTrace discards an open trace (the transfer failed). Safe on nil.
@@ -459,13 +420,13 @@ func (o *Observer) SpanRecord(trace uint64, stage span.Stage, layer string, acto
 	o.Spans.Record(trace, stage, layer, actor, start, end, arg)
 }
 
-// EndTrace completes a transfer trace at the current span clock. Safe on
+// EndTrace completes a transfer trace at the observer's clock. Safe on
 // nil; ending trace 0 (recording disabled) is a no-op.
 func (o *Observer) EndTrace(id uint64) {
 	if o == nil || o.Spans == nil {
 		return
 	}
-	o.Spans.EndTrace(id, o.SpanNow())
+	o.Spans.EndTrace(id, o.Now())
 }
 
 // ResumeTrace makes a trace current — the receive side of a cross-host

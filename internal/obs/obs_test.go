@@ -11,11 +11,8 @@ import (
 
 func TestRingWraparound(t *testing.T) {
 	tr := NewTracer(4)
-	var now simtime.Time
-	tr.SetNow(func() simtime.Time { return now })
 	for i := 0; i < 10; i++ {
-		now = simtime.Time(i * 100)
-		tr.Emit(EvAlloc, 1, 0, uint64(i), int64(i))
+		tr.Emit(simtime.Time(i*100), EvAlloc, 1, 0, uint64(i), int64(i))
 	}
 	if tr.Total() != 10 {
 		t.Fatalf("total %d", tr.Total())
@@ -39,17 +36,20 @@ func TestRingWraparound(t *testing.T) {
 }
 
 func TestEventOrderingOnSimulatedClock(t *testing.T) {
-	tr := NewTracer(64)
+	o := New(64)
 	clk := &simtime.Clock{}
-	tr.SetNow(clk.Now)
+	o.SetNow(clk.Now)
 	stamps := []simtime.Duration{0, 30, 0, 2500, 1}
 	for i, d := range stamps {
 		clk.Advance(d)
-		tr.Emit(EvTransfer, 0, 0, 0, int64(i))
+		o.Emit(EvTransfer, 0, 0, 0, int64(i))
 	}
-	evs := tr.Events()
+	evs := o.Tracer.Events()
 	if len(evs) != len(stamps) {
 		t.Fatalf("events %d", len(evs))
+	}
+	if evs[len(evs)-1].At != clk.Now() {
+		t.Fatalf("last event at %v, want the observer's clock %v", evs[len(evs)-1].At, clk.Now())
 	}
 	for i := 1; i < len(evs); i++ {
 		if evs[i].At < evs[i-1].At {
@@ -64,18 +64,18 @@ func TestEventOrderingOnSimulatedClock(t *testing.T) {
 func TestSince(t *testing.T) {
 	tr := NewTracer(4)
 	for i := 0; i < 3; i++ {
-		tr.Emit(EvFree, 0, 0, 0, int64(i))
+		tr.Emit(0, EvFree, 0, 0, 0, int64(i))
 	}
 	mark := tr.Total()
-	tr.Emit(EvRecycle, 0, 0, 0, 3)
-	tr.Emit(EvRecycle, 0, 0, 0, 4)
+	tr.Emit(0, EvRecycle, 0, 0, 0, 3)
+	tr.Emit(0, EvRecycle, 0, 0, 0, 4)
 	got := tr.Since(mark)
 	if len(got) != 2 || got[0].Arg != 3 || got[1].Arg != 4 {
 		t.Fatalf("since: %+v", got)
 	}
 	// A mark older than the ring start returns everything held.
 	for i := 0; i < 10; i++ {
-		tr.Emit(EvFree, 0, 0, 0, 0)
+		tr.Emit(0, EvFree, 0, 0, 0, 0)
 	}
 	if n := len(tr.Since(0)); n != 4 {
 		t.Fatalf("since(0) after wrap: %d events", n)
@@ -89,16 +89,11 @@ func TestSince(t *testing.T) {
 // (byte-level format stability) and through encoding/json (validity).
 func TestChromeTraceRoundTrip(t *testing.T) {
 	tr := NewTracer(16)
-	var now simtime.Time
-	tr.SetNow(func() simtime.Time { return now })
 	tr.SetActor(1, "app")
 	tr.SetTrack(0, "video")
-	now = 1500 // 1.5 us
-	tr.Emit(EvAlloc, 1, 0, 7, 4)
-	now = 2001
-	tr.Emit(EvTLBMiss, 1, NoTrack, 0, 99)
-	now = 2500
-	tr.Emit(EvTLBMiss, NoActor, NoTrack, 0, 55) // ownerless: reserved pid 0
+	tr.Emit(1500, EvAlloc, 1, 0, 7, 4) // 1.5 us
+	tr.Emit(2001, EvTLBMiss, 1, NoTrack, 0, 99)
+	tr.Emit(2500, EvTLBMiss, NoActor, NoTrack, 0, 55) // ownerless: reserved pid 0
 
 	var buf bytes.Buffer
 	if err := tr.WriteChromeTrace(&buf); err != nil {
@@ -154,13 +149,12 @@ func TestExportDeterminism(t *testing.T) {
 	build := func() *Tracer {
 		tr := NewTracer(8)
 		clk := &simtime.Clock{}
-		tr.SetNow(clk.Now)
 		tr.SetActor(0, "kernel")
 		tr.SetActor(1, "app")
 		tr.SetTrack(0, "p0")
 		for i := 0; i < 12; i++ { // wraps
 			clk.Advance(simtime.Duration(i * 7))
-			tr.Emit(EventKind(1+i%int(numEventKinds-1)), i%2, i%3-1, uint64(i), int64(i))
+			tr.Emit(clk.Now(), EventKind(1+i%int(numEventKinds-1)), i%2, i%3-1, uint64(i), int64(i))
 		}
 		return tr
 	}
@@ -240,7 +234,7 @@ func TestHistogramBucketEdges(t *testing.T) {
 
 func TestNilSafety(t *testing.T) {
 	var tr *Tracer
-	tr.Emit(EvAlloc, 0, 0, 0, 0)
+	tr.Emit(0, EvAlloc, 0, 0, 0, 0)
 	tr.SetActor(0, "x")
 	if tr.Count() != 0 || tr.Total() != 0 || tr.Events() != nil || tr.Since(0) != nil {
 		t.Fatal("nil tracer not inert")
@@ -248,7 +242,7 @@ func TestNilSafety(t *testing.T) {
 	// A zero-value Tracer (not built via NewTracer) has no ring; it must
 	// drop events rather than panic, and naming must lazily allocate.
 	zt := &Tracer{}
-	zt.Emit(EvAlloc, 0, 0, 0, 0)
+	zt.Emit(0, EvAlloc, 0, 0, 0, 0)
 	if zt.Count() != 0 || zt.Total() != 0 {
 		t.Fatal("zero-value tracer not inert")
 	}
