@@ -229,7 +229,7 @@ func attachProfile(o *obs.Observer, cfg config) (*profile.Profiler, *profile.Fli
 	}
 	var fr *profile.FlightRecorder
 	if cfg.flightPath != "" {
-		fr = profile.NewFlightRecorder(o, 16)
+		fr = profile.NewFlightRecorder(o)
 	}
 	profile.Attach(o, p, fr)
 	return p, fr

@@ -46,9 +46,9 @@ type AuditResult struct {
 // folds every transfer into a per-stage latency attribution.
 func Audit() (*AuditResult, error) {
 	o := obs.New(1 << 16)
-	o.Spans = span.NewRecorder(auditCount + 8)
+	o.Spans = span.NewRecorder(16) // the flight recorder's dump window
 	prof := profile.NewProfiler()
-	fr := profile.NewFlightRecorder(o, 16)
+	fr := profile.NewFlightRecorder(o)
 	fr.SetLatencyThreshold("data", int64(auditLatencyThreshold))
 	profile.Attach(o, prof, fr)
 

@@ -8,92 +8,118 @@ import (
 	"sort"
 )
 
-// WriteChromeTrace writes the held events as Chrome trace-event JSON,
-// loadable in Perfetto (ui.perfetto.dev) or chrome://tracing. Domains
-// appear as processes and data paths as named threads ("tracks") within
-// them; every event is an instant event on the simulated clock (1 trace
-// microsecond = 1 simulated microsecond). Output is deterministic: events
-// in emission order, metadata sorted by id.
-func (t *Tracer) WriteChromeTrace(w io.Writer) error {
-	evs := t.Events()
+// ChromeWriter builds one Chrome trace-event JSON document, loadable in
+// Perfetto (ui.perfetto.dev) or chrome://tracing: the header, one event
+// object per line with separators, and the footer. The tracer's event
+// export and the flight recorder's span dump both write through it, so they
+// share one pid mapping (PidOf), one string quoting (Quote) and one
+// timestamp format (Micros).
+type ChromeWriter struct {
+	b bytes.Buffer
+	n int // events written
+}
 
-	// Collect the (pid, tid) pairs present so each gets metadata.
-	type ptKey struct{ pid, tid int }
-	pids := map[int]bool{}
-	pairs := map[ptKey]bool{}
-	for _, e := range evs {
-		pids[pidOf(e.Domain)] = true
-		pairs[ptKey{pidOf(e.Domain), tidOf(e.Path)}] = true
-	}
-	sortedPids := make([]int, 0, len(pids))
-	for pid := range pids {
-		sortedPids = append(sortedPids, pid)
-	}
-	sort.Ints(sortedPids)
-	sortedPairs := make([]ptKey, 0, len(pairs))
-	for k := range pairs {
-		sortedPairs = append(sortedPairs, k)
-	}
-	sort.Slice(sortedPairs, func(i, j int) bool {
-		if sortedPairs[i].pid != sortedPairs[j].pid {
-			return sortedPairs[i].pid < sortedPairs[j].pid
-		}
-		return sortedPairs[i].tid < sortedPairs[j].tid
-	})
+// NewChromeWriter starts a document.
+func NewChromeWriter() *ChromeWriter {
+	cw := &ChromeWriter{}
+	cw.b.WriteString("{\"traceEvents\":[\n")
+	return cw
+}
 
-	var b bytes.Buffer
-	b.WriteString("{\"traceEvents\":[\n")
-	first := true
-	sep := func() {
-		if !first {
-			b.WriteString(",\n")
-		}
-		first = false
+// Event appends one event object, formatted as by fmt.Sprintf.
+func (cw *ChromeWriter) Event(format string, args ...any) {
+	if cw.n > 0 {
+		cw.b.WriteString(",\n")
 	}
-	for _, pid := range sortedPids {
-		sep()
-		fmt.Fprintf(&b, `{"ph":"M","name":"process_name","pid":%d,"tid":0,"args":{"name":%s}}`,
-			pid, jstr(t.ActorName(actorOf(pid))))
-	}
-	for _, k := range sortedPairs {
-		sep()
-		fmt.Fprintf(&b, `{"ph":"M","name":"thread_name","pid":%d,"tid":%d,"args":{"name":%s}}`,
-			k.pid, k.tid, jstr(t.TrackName(pathOf(k.tid))))
-	}
-	for _, e := range evs {
-		sep()
-		ns := int64(e.At)
-		fmt.Fprintf(&b, `{"ph":"i","name":%s,"pid":%d,"tid":%d,"ts":%d.%03d,"s":"t","args":{"gen":%d,"arg":%d}}`,
-			jstr(e.Kind.String()), pidOf(e.Domain), tidOf(e.Path), ns/1000, ns%1000, e.Gen, e.Arg)
-	}
-	b.WriteString("\n],\"displayTimeUnit\":\"ns\"}\n")
-	_, err := w.Write(b.Bytes())
+	cw.n++
+	fmt.Fprintf(&cw.b, format, args...)
+}
+
+// Process appends the process_name metadata of a trace actor, named as
+// names resolves it (nil names: the default names).
+func (cw *ChromeWriter) Process(names *Tracer, actor int) {
+	cw.Event(`{"ph":"M","name":"process_name","pid":%d,"tid":0,"args":{"name":%s}}`,
+		PidOf(actor), Quote(names.ActorName(actor)))
+}
+
+// Flush closes the document and writes it to w.
+func (cw *ChromeWriter) Flush(w io.Writer) error {
+	cw.b.WriteString("\n],\"displayTimeUnit\":\"ns\"}\n")
+	_, err := w.Write(cw.b.Bytes())
 	return err
 }
 
-// tidOf maps a track id to a Chrome tid. Chrome tids are per-pid and must
-// be >= 0; track NoTrack (-1, host-level events) becomes tid 0 and paths
-// shift up by one.
+// Micros renders simulated nanoseconds as trace microseconds with three
+// decimals (1 trace microsecond = 1 simulated microsecond).
+type Micros int64
+
+func (m Micros) String() string {
+	return fmt.Sprintf("%d.%03d", int64(m)/1000, int64(m)%1000)
+}
+
+// PidOf maps a trace actor to a Chrome pid: actor NoActor (-1, ownerless
+// events) becomes the reserved "host" pid 0 and domains shift up by one,
+// keeping every exported pid non-negative.
+func PidOf(actor int) int { return actor + 1 }
+
+// tidOf maps a track id to a Chrome tid the same way. Chrome tids are
+// per-pid and must be >= 0; track NoTrack (-1, host-level events) becomes
+// tid 0 and paths shift up by one.
 func tidOf(path int) int { return path + 1 }
 
-// pathOf inverts tidOf.
-func pathOf(tid int) int { return tid - 1 }
-
-// pidOf maps a trace actor to a Chrome pid the same way: actor NoActor
-// (-1, ownerless events) becomes the reserved "host" pid 0 and domains
-// shift up by one, keeping every exported pid non-negative.
-func pidOf(domain int) int { return domain + 1 }
-
-// actorOf inverts pidOf.
-func actorOf(pid int) int { return pid - 1 }
-
-// jstr renders s as a JSON string literal.
-func jstr(s string) string {
+// Quote renders s as a JSON string literal.
+func Quote(s string) string {
 	data, err := json.Marshal(s)
 	if err != nil { // cannot happen for a string
 		return `"?"`
 	}
 	return string(data)
+}
+
+// WriteChromeTrace writes the held events as Chrome trace-event JSON.
+// Domains appear as processes and data paths as named threads ("tracks")
+// within them; every event is an instant event on the simulated clock.
+// Output is deterministic: events in emission order, metadata sorted by id.
+func (t *Tracer) WriteChromeTrace(w io.Writer) error {
+	evs := t.Events()
+
+	// Collect the (actor, track) pairs present so each gets metadata.
+	type key struct{ actor, path int }
+	actorSet := map[int]bool{}
+	pairSet := map[key]bool{}
+	for _, e := range evs {
+		actorSet[e.Domain] = true
+		pairSet[key{e.Domain, e.Path}] = true
+	}
+	actors := make([]int, 0, len(actorSet))
+	for a := range actorSet {
+		actors = append(actors, a)
+	}
+	sort.Ints(actors)
+	pairs := make([]key, 0, len(pairSet))
+	for k := range pairSet {
+		pairs = append(pairs, k)
+	}
+	sort.Slice(pairs, func(i, j int) bool {
+		if pairs[i].actor != pairs[j].actor {
+			return pairs[i].actor < pairs[j].actor
+		}
+		return pairs[i].path < pairs[j].path
+	})
+
+	cw := NewChromeWriter()
+	for _, a := range actors {
+		cw.Process(t, a)
+	}
+	for _, k := range pairs {
+		cw.Event(`{"ph":"M","name":"thread_name","pid":%d,"tid":%d,"args":{"name":%s}}`,
+			PidOf(k.actor), tidOf(k.path), Quote(t.TrackName(k.path)))
+	}
+	for _, e := range evs {
+		cw.Event(`{"ph":"i","name":%s,"pid":%d,"tid":%d,"ts":%s,"s":"t","args":{"gen":%d,"arg":%d}}`,
+			Quote(e.Kind.String()), PidOf(e.Domain), tidOf(e.Path), Micros(e.At), e.Gen, e.Arg)
+	}
+	return cw.Flush(w)
 }
 
 // Format renders one event as a human-readable timeline line, resolving
@@ -102,15 +128,4 @@ func (t *Tracer) Format(e Event) string {
 	ns := int64(e.At)
 	return fmt.Sprintf("%7d.%03dus %-14s %-12s %-12s gen=%-3d arg=%d",
 		ns/1000, ns%1000, e.Kind, t.ActorName(e.Domain), t.TrackName(e.Path), e.Gen, e.Arg)
-}
-
-// WriteTimeline writes the held events as a human-readable timeline —
-// the upgraded form of cmd/fbufsim's annotated trace.
-func (t *Tracer) WriteTimeline(w io.Writer) error {
-	for _, e := range t.Events() {
-		if _, err := fmt.Fprintln(w, t.Format(e)); err != nil {
-			return err
-		}
-	}
-	return nil
 }

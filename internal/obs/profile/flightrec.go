@@ -2,10 +2,10 @@ package profile
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"sync"
 
 	"fbufs/internal/obs"
@@ -20,18 +20,17 @@ type Anomaly struct {
 	Detail string       `json:"detail"`
 }
 
-// FlightRecorder is the always-on bounded crash-dump facility: it keeps the
-// last N completed traces and, when an anomaly trips (end-to-end latency
-// over threshold, allocation failure, copy-path fallback, a fault-plane
-// verdict), renders them plus the current metrics snapshot as a Perfetto
-// (Chrome trace-event) file.
+// FlightRecorder is the always-on bounded crash-dump facility: when an
+// anomaly trips (end-to-end latency over threshold, allocation failure,
+// copy-path fallback, a fault-plane verdict), it renders the completed
+// traces the observer's span recorder retains, plus the current metrics
+// snapshot, as a Perfetto (Chrome trace-event) file. The span recorder's
+// bound is the dump's bound.
 //
 // A nil *FlightRecorder ignores every call, matching the obs discipline.
 type FlightRecorder struct {
-	mu      sync.Mutex
-	obs     *obs.Observer
-	ring    []span.Trace
-	next, n int
+	mu  sync.Mutex
+	obs *obs.Observer
 
 	threshNs    int64  // 0: latency trigger disabled
 	threshLabel string // label the latency trigger applies to; "": any
@@ -55,13 +54,10 @@ var anomalousEvents = map[obs.EventKind]string{
 	obs.EvDomainCrash:  "domain-crash",
 }
 
-// NewFlightRecorder creates a recorder retaining the last capacity traces,
-// pulling events and metrics from o at scan and dump time.
-func NewFlightRecorder(o *obs.Observer, capacity int) *FlightRecorder {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &FlightRecorder{obs: o, ring: make([]span.Trace, capacity)}
+// NewFlightRecorder creates a recorder over o, pulling traces, events and
+// metrics from it at scan and dump time.
+func NewFlightRecorder(o *obs.Observer) *FlightRecorder {
+	return &FlightRecorder{obs: o}
 }
 
 // SetLatencyThreshold arms the latency trigger: a completed trace with the
@@ -76,39 +72,19 @@ func (fr *FlightRecorder) SetLatencyThreshold(label string, ns int64) {
 	fr.mu.Unlock()
 }
 
-// OnTrace records a completed trace into the ring and checks the latency
-// trigger. Safe on nil; wired via profile.Attach.
+// OnTrace checks a completed trace against the latency trigger. Safe on
+// nil; wired via profile.Attach.
 func (fr *FlightRecorder) OnTrace(tr span.Trace) {
 	if fr == nil {
 		return
 	}
 	fr.mu.Lock()
-	fr.ring[fr.next] = tr
-	fr.next++
-	if fr.next == len(fr.ring) {
-		fr.next = 0
-	}
-	if fr.n < len(fr.ring) {
-		fr.n++
-	}
 	if fr.threshNs > 0 && int64(tr.Dur()) > fr.threshNs &&
 		(fr.threshLabel == "" || fr.threshLabel == tr.Label) {
 		fr.tripLocked(tr.End, "latency",
 			fmt.Sprintf("%s trace %d: %s > %s threshold",
 				tr.Label, tr.ID, tr.Dur(), simtime.Time(fr.threshNs)))
 	}
-	fr.mu.Unlock()
-}
-
-// Trip records an anomaly directly — for triggers outside the recorder's
-// own detectors (a bench harness assertion, a conformance divergence).
-// Safe on nil.
-func (fr *FlightRecorder) Trip(at simtime.Time, kind, detail string) {
-	if fr == nil {
-		return
-	}
-	fr.mu.Lock()
-	fr.tripLocked(at, kind, detail)
 	fr.mu.Unlock()
 }
 
@@ -164,111 +140,71 @@ func (fr *FlightRecorder) Anomalies() []Anomaly {
 	return out
 }
 
-// Traces returns the retained traces, oldest first. Safe on nil.
-func (fr *FlightRecorder) Traces() []span.Trace {
-	if fr == nil {
-		return nil
-	}
-	fr.mu.Lock()
-	defer fr.mu.Unlock()
-	return fr.tracesLocked()
-}
-
-func (fr *FlightRecorder) tracesLocked() []span.Trace {
-	if fr.n == 0 {
-		return nil
-	}
-	out := make([]span.Trace, 0, fr.n)
-	start := fr.next - fr.n
-	if start < 0 {
-		start += len(fr.ring)
-	}
-	for i := 0; i < fr.n; i++ {
-		out = append(out, fr.ring[(start+i)%len(fr.ring)])
-	}
-	return out
-}
-
-// WriteDump renders the retained traces, anomalies, and a metrics snapshot
-// as Chrome trace-event JSON loadable in Perfetto. Spans are "X" (complete)
-// events — pid is the span's actor mapped as in the event exporter (actor
-// -1 becomes the reserved "host" pid 0), tid is the owning trace ID —
-// anomalies are instant events on the host track, and the metrics snapshot
-// rides in a final metadata event's args. Output is deterministic: traces
-// oldest first, spans in recorded order, no map iteration. Safe on nil.
+// WriteDump renders the span recorder's retained traces, the anomalies and
+// a metrics snapshot as Chrome trace-event JSON loadable in Perfetto. Spans
+// are "X" (complete) events — pid is the span's actor mapped as in the
+// event exporter (actor -1 becomes the reserved "host" pid 0), tid is the
+// owning trace ID — anomalies are instant events on the host track, and the
+// metrics snapshot rides in a final metadata event's args. Output is
+// deterministic: traces oldest first, spans in recorded order, actors
+// sorted. Safe on nil.
 func (fr *FlightRecorder) WriteDump(w io.Writer) error {
+	cw := obs.NewChromeWriter()
 	if fr == nil {
-		_, err := io.WriteString(w, "{\"traceEvents\":[\n],\"displayTimeUnit\":\"ns\"}\n")
-		return err
+		return cw.Flush(w)
 	}
 	fr.mu.Lock()
-	traces := fr.tracesLocked()
 	anomalies := make([]Anomaly, len(fr.anomalies))
 	copy(anomalies, fr.anomalies)
 	o := fr.obs
 	fr.mu.Unlock()
-
-	var b bytes.Buffer
-	b.WriteString("{\"traceEvents\":[\n")
-	first := true
-	sep := func() {
-		if !first {
-			b.WriteString(",\n")
-		}
-		first = false
-	}
-	// Process metadata for every pid referenced, sorted; pid 0 is reserved
-	// for host-level (actor-less) spans and the anomaly track.
-	pids := map[int]bool{0: true}
-	for _, tr := range traces {
-		for _, s := range tr.Spans {
-			pids[s.Actor+1] = true
-		}
-	}
-	sorted := make([]int, 0, len(pids))
-	for pid := range pids {
-		sorted = append(sorted, pid)
-	}
-	sortInts(sorted)
+	var traces []span.Trace
 	var tracer *obs.Tracer
 	if o != nil {
+		traces = o.Spans.Completed()
 		tracer = o.Tracer
 	}
-	for _, pid := range sorted {
-		sep()
-		fmt.Fprintf(&b, `{"ph":"M","name":"process_name","pid":%d,"tid":0,"args":{"name":%s}}`,
-			pid, jstr(tracer.ActorName(pid-1)))
+
+	// Process metadata for every actor referenced, sorted; the host actor
+	// (pid 0) is always present for actor-less spans and the anomaly track.
+	actorSet := map[int]bool{obs.NoActor: true}
+	for _, tr := range traces {
+		for _, s := range tr.Spans {
+			actorSet[s.Actor] = true
+		}
+	}
+	actors := make([]int, 0, len(actorSet))
+	for a := range actorSet {
+		actors = append(actors, a)
+	}
+	sort.Ints(actors)
+	for _, a := range actors {
+		cw.Process(tracer, a)
 	}
 	for _, tr := range traces {
 		for _, s := range tr.Spans {
-			sep()
-			ns, dur := int64(s.Start), int64(s.Dur())
+			dur := s.Dur()
 			if dur < 0 {
 				dur = 0
 			}
-			fmt.Fprintf(&b, `{"ph":"X","name":%s,"cat":"span","pid":%d,"tid":%d,"ts":%d.%03d,"dur":%d.%03d,"args":{"trace":%d,"label":%s,"arg":%d}}`,
-				jstr(s.Stage.String()+" "+s.Layer), s.Actor+1, tr.ID,
-				ns/1000, ns%1000, dur/1000, dur%1000, tr.ID, jstr(tr.Label), s.Arg)
+			cw.Event(`{"ph":"X","name":%s,"cat":"span","pid":%d,"tid":%d,"ts":%s,"dur":%s,"args":{"trace":%d,"label":%s,"arg":%d}}`,
+				obs.Quote(s.Stage.String()+" "+s.Layer), obs.PidOf(s.Actor), tr.ID,
+				obs.Micros(s.Start), obs.Micros(dur), tr.ID, obs.Quote(tr.Label), s.Arg)
 		}
 	}
 	for _, a := range anomalies {
-		sep()
-		ns := int64(a.At)
-		fmt.Fprintf(&b, `{"ph":"i","name":%s,"cat":"anomaly","pid":0,"tid":0,"ts":%d.%03d,"s":"g","args":{"detail":%s}}`,
-			jstr("anomaly:"+a.Kind), ns/1000, ns%1000, jstr(a.Detail))
+		cw.Event(`{"ph":"i","name":%s,"cat":"anomaly","pid":0,"tid":0,"ts":%s,"s":"g","args":{"detail":%s}}`,
+			obs.Quote("anomaly:"+a.Kind), obs.Micros(a.At), obs.Quote(a.Detail))
 	}
 	if o != nil && o.Metrics != nil {
 		o.PublishSelfMetrics()
 		var mb bytes.Buffer
 		if err := o.Metrics.Snapshot().WriteJSON(&mb); err == nil {
-			sep()
-			fmt.Fprintf(&b, `{"ph":"M","name":"fbufs_metrics","pid":0,"tid":0,"args":{"snapshot":%s}}`,
+			cw.Event(`{"ph":"M","name":"fbufs_metrics","pid":0,"tid":0,"args":{"snapshot":%s}}`,
 				mb.String())
 		}
 	}
-	b.WriteString("\n],\"displayTimeUnit\":\"ns\"}\n")
-	_, err := w.Write(b.Bytes())
-	return err
+	return cw.Flush(w)
 }
 
 // DumpIfTripped writes the dump to path when an anomaly has fired and
@@ -287,22 +223,4 @@ func (fr *FlightRecorder) DumpIfTripped(path string) (bool, error) {
 		return true, err
 	}
 	return true, f.Close()
-}
-
-// jstr renders s as a JSON string literal (mirrors the obs exporter).
-func jstr(s string) string {
-	data, err := json.Marshal(s)
-	if err != nil { // cannot happen for a string
-		return `"?"`
-	}
-	return string(data)
-}
-
-// sortInts is sort.Ints without pulling extra weight into the hot file.
-func sortInts(v []int) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
 }

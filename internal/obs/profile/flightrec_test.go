@@ -8,36 +8,75 @@ import (
 
 	"fbufs/internal/obs"
 	"fbufs/internal/obs/span"
+	"fbufs/internal/simtime"
 )
 
-func newObsWithSpans() *obs.Observer {
+func newObsWithSpans(traces int) *obs.Observer {
 	o := obs.New(64)
-	o.Spans = span.NewRecorder(16)
+	o.Spans = span.NewRecorder(traces)
 	return o
 }
 
+// runTrace records one "data" trace of dur ns: an ipc span and a link span.
 func runTrace(o *obs.Observer, dur int64) {
 	id := o.BeginTrace("data", 4096)
 	o.SpanBegin(span.StageIPC, "ipc", 2, 0)
 	o.SpanEnd()
 	o.Spans.Record(id, span.StageLink, "net", span.NoActor, 0, 10, 0)
-	o.Spans.EndTrace(id, 0)
-	_ = dur
+	o.Spans.EndTrace(id, simtime.Time(dur))
 }
 
-func TestFlightRecorderRingBound(t *testing.T) {
-	fr := NewFlightRecorder(nil, 2)
-	for i := 0; i < 5; i++ {
-		fr.OnTrace(span.Trace{ID: uint64(i + 1)})
+// dumpEvents renders fr's dump and decodes its events.
+func dumpEvents(t *testing.T, fr *FlightRecorder) []dumpEvent {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := fr.WriteDump(&buf); err != nil {
+		t.Fatal(err)
 	}
-	got := fr.Traces()
-	if len(got) != 2 || got[0].ID != 4 || got[1].ID != 5 {
-		t.Fatalf("retained = %+v, want traces 4, 5", got)
+	var dump struct {
+		TraceEvents     []dumpEvent `json:"traceEvents"`
+		DisplayTimeUnit string      `json:"displayTimeUnit"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &dump); err != nil {
+		t.Fatalf("dump not valid JSON: %v\n%s", err, buf.String())
+	}
+	if dump.DisplayTimeUnit != "ns" {
+		t.Fatalf("displayTimeUnit = %q", dump.DisplayTimeUnit)
+	}
+	return dump.TraceEvents
+}
+
+type dumpEvent struct {
+	Ph   string          `json:"ph"`
+	Name string          `json:"name"`
+	Pid  int             `json:"pid"`
+	Tid  uint64          `json:"tid"`
+	Dur  float64         `json:"dur"`
+	Args json.RawMessage `json:"args"`
+}
+
+// TestDumpHoldsSpanRecorderWindow: the dump renders the traces the span
+// recorder retains, so the recorder's bound is the dump's bound.
+func TestDumpHoldsSpanRecorderWindow(t *testing.T) {
+	o := newObsWithSpans(2)
+	fr := NewFlightRecorder(o)
+	Attach(o, nil, fr)
+	for i := 0; i < 5; i++ {
+		runTrace(o, 10)
+	}
+	tids := map[uint64]bool{}
+	for _, e := range dumpEvents(t, fr) {
+		if e.Ph == "X" {
+			tids[e.Tid] = true
+		}
+	}
+	if len(tids) != 2 || !tids[4] || !tids[5] {
+		t.Fatalf("dumped traces %v, want 4 and 5", tids)
 	}
 }
 
 func TestLatencyTrigger(t *testing.T) {
-	fr := NewFlightRecorder(nil, 4)
+	fr := NewFlightRecorder(nil)
 	fr.SetLatencyThreshold("data", 100)
 	fr.OnTrace(span.Trace{ID: 1, Label: "data", Start: 0, End: 90})
 	if tripped, _ := fr.Tripped(); tripped {
@@ -56,7 +95,7 @@ func TestLatencyTrigger(t *testing.T) {
 
 func TestScanEventsTrips(t *testing.T) {
 	o := obs.New(64)
-	fr := NewFlightRecorder(o, 4)
+	fr := NewFlightRecorder(o)
 	o.Emit(obs.EvAlloc, 1, 0, 0, 4) // benign
 	fr.ScanEvents()
 	if tripped, _ := fr.Tripped(); tripped {
@@ -79,36 +118,15 @@ func TestScanEventsTrips(t *testing.T) {
 // The dump must be valid Chrome trace-event JSON: loadable, with the
 // reserved host pid 0, complete ("X") span events, and anomaly instants.
 func TestDumpIsLoadablePerfetto(t *testing.T) {
-	o := newObsWithSpans()
+	o := newObsWithSpans(16)
 	p := NewProfiler()
-	fr := NewFlightRecorder(o, 8)
+	fr := NewFlightRecorder(o)
+	fr.SetLatencyThreshold("data", 5)
 	Attach(o, p, fr)
-	runTrace(o, 10)
-	fr.Trip(42, "test", "synthetic anomaly")
+	runTrace(o, 10) // 10 ns > 5 ns: trips the latency trigger
 
-	var buf bytes.Buffer
-	if err := fr.WriteDump(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var dump struct {
-		TraceEvents []struct {
-			Ph   string          `json:"ph"`
-			Name string          `json:"name"`
-			Pid  int             `json:"pid"`
-			Tid  uint64          `json:"tid"`
-			Dur  float64         `json:"dur"`
-			Args json.RawMessage `json:"args"`
-		} `json:"traceEvents"`
-		DisplayTimeUnit string `json:"displayTimeUnit"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &dump); err != nil {
-		t.Fatalf("dump not valid JSON: %v\n%s", err, buf.String())
-	}
-	if dump.DisplayTimeUnit != "ns" {
-		t.Fatalf("displayTimeUnit = %q", dump.DisplayTimeUnit)
-	}
 	var sawHostMeta, sawSpan, sawAnomaly, sawMetrics bool
-	for _, e := range dump.TraceEvents {
+	for _, e := range dumpEvents(t, fr) {
 		switch {
 		case e.Ph == "M" && e.Name == "process_name" && e.Pid == 0:
 			sawHostMeta = true
@@ -128,7 +146,10 @@ func TestDumpIsLoadablePerfetto(t *testing.T) {
 			sawHostMeta, sawSpan, sawAnomaly, sawMetrics)
 	}
 	// Determinism: a second render is byte-identical.
-	var buf2 bytes.Buffer
+	var buf, buf2 bytes.Buffer
+	if err := fr.WriteDump(&buf); err != nil {
+		t.Fatal(err)
+	}
 	if err := fr.WriteDump(&buf2); err != nil {
 		t.Fatal(err)
 	}
@@ -138,12 +159,14 @@ func TestDumpIsLoadablePerfetto(t *testing.T) {
 }
 
 func TestDumpIfTripped(t *testing.T) {
-	fr := NewFlightRecorder(nil, 2)
+	o := obs.New(64)
+	fr := NewFlightRecorder(o)
 	path := t.TempDir() + "/dump.json"
 	if wrote, err := fr.DumpIfTripped(path); wrote || err != nil {
 		t.Fatalf("untripped: wrote=%v err=%v", wrote, err)
 	}
-	fr.Trip(0, "test", "x")
+	o.Emit(obs.EvDomainCrash, 1, obs.NoTrack, 0, 0)
+	fr.ScanEvents()
 	wrote, err := fr.DumpIfTripped(path)
 	if !wrote || err != nil {
 		t.Fatalf("tripped: wrote=%v err=%v", wrote, err)
@@ -154,12 +177,11 @@ func TestNilFlightRecorder(t *testing.T) {
 	var fr *FlightRecorder
 	fr.OnTrace(span.Trace{})
 	fr.ScanEvents()
-	fr.Trip(0, "x", "y")
 	fr.SetLatencyThreshold("", 1)
 	if tripped, _ := fr.Tripped(); tripped {
 		t.Fatal("nil recorder tripped")
 	}
-	if fr.Traces() != nil || fr.Anomalies() != nil {
+	if fr.Anomalies() != nil {
 		t.Fatal("nil recorder returned data")
 	}
 	var buf bytes.Buffer
