@@ -7,16 +7,12 @@ import (
 )
 
 // ContentionCell is one row of the lock contention heatmap: a named lock
-// (a data path's sharded lock, a magazine depot) with its acquire count,
-// how many acquires hit contention, and the wall-clock time spent waiting.
-// WaitNs is measured in real time, not simulated time — contention only
-// exists when the SMP bench harness runs real goroutines — and is zero in
-// the deterministic single-threaded mode.
+// (a data path's sharded lock, a magazine depot) with its acquire count and
+// how many acquires hit contention.
 type ContentionCell struct {
 	Name      string  `json:"name"`
 	Acquires  uint64  `json:"acquires"`
 	Contended uint64  `json:"contended"`
-	WaitNs    int64   `json:"wait_ns"`
 	Rate      float64 `json:"rate"` // Contended / Acquires
 }
 
@@ -53,8 +49,8 @@ func WriteContentionTable(w io.Writer, cells []ContentionCell) error {
 		}
 		return live[i].Name < live[j].Name
 	})
-	if _, err := fmt.Fprintf(w, "%-16s %10s %10s %8s %12s  heat\n",
-		"lock", "acquires", "contended", "rate", "wait"); err != nil {
+	if _, err := fmt.Fprintf(w, "%-16s %10s %10s %8s  heat\n",
+		"lock", "acquires", "contended", "rate"); err != nil {
 		return err
 	}
 	for _, c := range live {
@@ -69,8 +65,8 @@ func WriteContentionTable(w io.Writer, cells []ContentionCell) error {
 		for i := range heat {
 			heat[i] = '#'
 		}
-		_, err := fmt.Fprintf(w, "%-16s %10d %10d %7.2f%% %10dns  %s\n",
-			c.Name, c.Acquires, c.Contended, 100*c.Rate, c.WaitNs, heat)
+		_, err := fmt.Fprintf(w, "%-16s %10d %10d %7.2f%%  %s\n",
+			c.Name, c.Acquires, c.Contended, 100*c.Rate, heat)
 		if err != nil {
 			return err
 		}

@@ -170,7 +170,7 @@ func TestProfilerNilAndEmpty(t *testing.T) {
 func TestContentionTable(t *testing.T) {
 	var buf bytes.Buffer
 	cells := []ContentionCell{
-		{Name: "path0", Acquires: 100, Contended: 50, WaitNs: 12345},
+		{Name: "path0", Acquires: 100, Contended: 50},
 		{Name: "path1", Acquires: 1000, Contended: 1},
 		{Name: "idle", Acquires: 0},
 	}
