@@ -35,11 +35,18 @@ func (cw *ChromeWriter) Event(format string, args ...any) {
 	fmt.Fprintf(&cw.b, format, args...)
 }
 
-// Process appends the process_name metadata of a trace actor, named as
-// names resolves it (nil names: the default names).
-func (cw *ChromeWriter) Process(names *Tracer, actor int) {
-	cw.Event(`{"ph":"M","name":"process_name","pid":%d,"tid":0,"args":{"name":%s}}`,
-		PidOf(actor), Quote(names.ActorName(actor)))
+// Processes appends the process_name metadata of every actor in the set,
+// in pid order, named as names resolves them (nil names: the defaults).
+func (cw *ChromeWriter) Processes(names *Tracer, actors map[int]bool) {
+	ids := make([]int, 0, len(actors))
+	for a := range actors {
+		ids = append(ids, a)
+	}
+	sort.Ints(ids)
+	for _, a := range ids {
+		cw.Event(`{"ph":"M","name":"process_name","pid":%d,"tid":0,"args":{"name":%s}}`,
+			PidOf(a), Quote(names.ActorName(a)))
+	}
 }
 
 // Flush closes the document and writes it to w.
@@ -85,17 +92,12 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 
 	// Collect the (actor, track) pairs present so each gets metadata.
 	type key struct{ actor, path int }
-	actorSet := map[int]bool{}
+	actors := map[int]bool{}
 	pairSet := map[key]bool{}
 	for _, e := range evs {
-		actorSet[e.Domain] = true
+		actors[e.Domain] = true
 		pairSet[key{e.Domain, e.Path}] = true
 	}
-	actors := make([]int, 0, len(actorSet))
-	for a := range actorSet {
-		actors = append(actors, a)
-	}
-	sort.Ints(actors)
 	pairs := make([]key, 0, len(pairSet))
 	for k := range pairSet {
 		pairs = append(pairs, k)
@@ -108,9 +110,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	})
 
 	cw := NewChromeWriter()
-	for _, a := range actors {
-		cw.Process(t, a)
-	}
+	cw.Processes(t, actors)
 	for _, k := range pairs {
 		cw.Event(`{"ph":"M","name":"thread_name","pid":%d,"tid":%d,"args":{"name":%s}}`,
 			PidOf(k.actor), tidOf(k.path), Quote(t.TrackName(k.path)))

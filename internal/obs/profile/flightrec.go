@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"sync"
 
 	"fbufs/internal/obs"
@@ -165,22 +164,15 @@ func (fr *FlightRecorder) WriteDump(w io.Writer) error {
 		tracer = o.Tracer
 	}
 
-	// Process metadata for every actor referenced, sorted; the host actor
-	// (pid 0) is always present for actor-less spans and the anomaly track.
-	actorSet := map[int]bool{obs.NoActor: true}
+	// Process metadata for every actor referenced; the host actor (pid 0)
+	// is always present for actor-less spans and the anomaly track.
+	actors := map[int]bool{obs.NoActor: true}
 	for _, tr := range traces {
 		for _, s := range tr.Spans {
-			actorSet[s.Actor] = true
+			actors[s.Actor] = true
 		}
 	}
-	actors := make([]int, 0, len(actorSet))
-	for a := range actorSet {
-		actors = append(actors, a)
-	}
-	sort.Ints(actors)
-	for _, a := range actors {
-		cw.Process(tracer, a)
-	}
+	cw.Processes(tracer, actors)
 	for _, tr := range traces {
 		for _, s := range tr.Spans {
 			dur := s.Dur()
