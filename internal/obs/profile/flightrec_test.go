@@ -55,9 +55,9 @@ type dumpEvent struct {
 	Args json.RawMessage `json:"args"`
 }
 
-// TestDumpHoldsSpanRecorderWindow: the dump renders the traces the span
-// recorder retains, so the recorder's bound is the dump's bound.
-func TestDumpHoldsSpanRecorderWindow(t *testing.T) {
+// TestFlightRecorderRingBound: the dump renders the traces the span
+// recorder retains, so the span recorder's bound is the dump's bound.
+func TestFlightRecorderRingBound(t *testing.T) {
 	o := newObsWithSpans(2)
 	fr := NewFlightRecorder(o)
 	Attach(o, nil, fr)
