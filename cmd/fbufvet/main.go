@@ -1,15 +1,14 @@
-// Command fbufvet is the fbuf protocol invariant checker. It runs two
-// ways:
+// Command fbufvet is the fbuf protocol invariant checker. Run it from
+// inside the module:
 //
-//	go vet -vettool=$(pwd)/fbufvet ./...   # as a vettool (preferred)
-//	fbufvet ./...                          # standalone, from the module
+//	fbufvet [-sarif] [packages]   # default ./...
 //
-// It bundles six analyzers — fbufcheck, fbuflife, errflow, detlint,
-// obshook, lockorder — each individually switchable (e.g. `go vet
-// -vettool=... -detlint=false`). The -json flag emits machine-readable
-// diagnostics; -sarif writes a SARIF 2.1.0 document to stdout (one
-// combined document in standalone mode, for CI artifact upload).
-// See internal/analysis for what each checks and why.
+// It type-checks the module's packages from source and applies six
+// analyzers — fbufcheck, fbuflife, errflow, detlint, obshook, lockorder —
+// to each. Findings print as file:line:col lines on stderr; -sarif writes
+// them instead as one SARIF 2.1.0 document on stdout, for CI artifact
+// upload. It exits 0 when clean, 2 on findings and 1 on an internal
+// error. See internal/analysis for what each analyzer checks and why.
 package main
 
 import "fbufs/internal/analysis"

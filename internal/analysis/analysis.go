@@ -26,10 +26,10 @@
 //     function acquires a ranked mutex while directly holding a
 //     higher-ranked one (DESIGN.md §10).
 //
-// The suite runs three ways: as a `go vet -vettool` (package unitchecker
-// protocol, cmd/fbufvet), as a standalone checker over the module source
-// (Loader), and under analysistest-style unit tests with `// want`
-// expectations (RunTest).
+// The suite runs two ways: cmd/fbufvet type-checks the module from source
+// through Loader and applies every analyzer (TestModuleClean does the
+// same in go test), and analysistest-style unit tests run one analyzer
+// over a `// want`-annotated corpus (RunTest).
 package analysis
 
 import (
@@ -42,9 +42,9 @@ import (
 
 // Analyzer describes one invariant checker.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and flags.
+	// Name identifies the analyzer in diagnostics and SARIF rules.
 	Name string
-	// Doc is the one-paragraph description shown by -flags help.
+	// Doc is the one-line description, the SARIF rule's short description.
 	Doc string
 	// Run applies the analyzer to one package.
 	Run func(*Pass) error
@@ -81,16 +81,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 // All returns the full fbufvet suite in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{FbufCheck, FbufLife, ErrFlow, DetLint, ObsHook, LockOrder}
-}
-
-// ByName returns the analyzer with the given name, or nil.
-func ByName(name string) *Analyzer {
-	for _, a := range All() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
 }
 
 // RunAnalyzers applies the analyzers to one type-checked package and

@@ -8,8 +8,8 @@ func TestObsHook(t *testing.T) {
 	RunTest(t, "testdata/src", ObsHook, "obshook")
 }
 
-// TestSuiteRegistry pins the analyzer set and name lookup: the CI vettool
-// and the docs both enumerate these six.
+// TestSuiteRegistry pins the analyzer set: fbufvet, the SARIF rule table
+// and the docs all enumerate these six.
 func TestSuiteRegistry(t *testing.T) {
 	want := []string{"fbufcheck", "fbuflife", "errflow", "detlint", "obshook", "lockorder"}
 	all := All()
@@ -20,18 +20,12 @@ func TestSuiteRegistry(t *testing.T) {
 		if all[i].Name != name {
 			t.Errorf("All()[%d] = %q, want %q", i, all[i].Name, name)
 		}
-		if ByName(name) != all[i] {
-			t.Errorf("ByName(%q) did not return the registered analyzer", name)
-		}
-	}
-	if ByName("nosuch") != nil {
-		t.Error("ByName(nosuch) != nil")
 	}
 }
 
 // TestModuleClean runs the full suite over the real module source — the
-// analyzer-clean property the tree must keep (same check CI's fbufvet
-// job enforces through go vet).
+// analyzer-clean property the tree must keep (the same loader and suite
+// CI's fbufvet job runs through cmd/fbufvet).
 func TestModuleClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the whole module from source")

@@ -81,7 +81,7 @@ func WriteSARIF(w io.Writer, fset *token.FileSet, diags []Diagnostic) error {
 	for _, a := range All() {
 		rules = append(rules, sarifRule{
 			ID:               a.Name,
-			ShortDescription: sarifMessage{Text: firstLine(a.Doc)},
+			ShortDescription: sarifMessage{Text: a.Doc},
 		})
 	}
 	sort.Slice(rules, func(i, j int) bool { return rules[i].ID < rules[j].ID })

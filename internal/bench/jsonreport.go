@@ -4,9 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
-	"strings"
 
 	"fbufs/internal/core"
 	"fbufs/internal/protocols"
@@ -25,13 +23,11 @@ type Experiment struct {
 }
 
 // ReportSchema is the BENCH_report.json schema version. Bump it when the
-// report's structure or the meaning of existing keys changes; LoadReport
-// rejects files written under any other version so stale baselines fail
-// loudly instead of comparing garbage.
+// report's structure or the meaning of existing keys changes.
 const ReportSchema = 2
 
 // BenchSeed is the deterministic seed baked into the benchmark workloads
-// (the SWP jitter stream's default); stamped into the report so a baseline
+// (the SWP jitter stream's default); stamped into the report so the file
 // records the run configuration it was produced under.
 const BenchSeed = 0x5bd1e995
 
@@ -44,8 +40,6 @@ type Report struct {
 	Schema int `json:"schema"`
 	// Seed records the deterministic seed the workloads ran under.
 	Seed uint64 `json:"seed"`
-	// Flags records the flag set the producing command ran with.
-	Flags []string `json:"flags,omitempty"`
 
 	Experiments map[string]Experiment `json:"experiments"`
 }
@@ -58,25 +52,6 @@ func NewReport() *Report {
 		Seed:        BenchSeed,
 		Experiments: make(map[string]Experiment),
 	}
-}
-
-// LoadReport parses a report and rejects unknown schema versions (a report
-// written before versioning decodes as schema 0 and is rejected too — it
-// predates the keys current comparisons expect).
-func LoadReport(rd io.Reader) (*Report, error) {
-	var rep Report
-	dec := json.NewDecoder(rd)
-	if err := dec.Decode(&rep); err != nil {
-		return nil, fmt.Errorf("bench: parsing report: %w", err)
-	}
-	if rep.Schema != ReportSchema {
-		return nil, fmt.Errorf("bench: report schema %d not supported (want %d); regenerate with fbufbench -json",
-			rep.Schema, ReportSchema)
-	}
-	if rep.Experiments == nil {
-		rep.Experiments = make(map[string]Experiment)
-	}
-	return &rep, nil
 }
 
 // tableValues extracts column col of a Table keyed by the row-name column.
@@ -254,56 +229,6 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	data = append(data, '\n')
 	_, err = w.Write(data)
 	return err
-}
-
-// regressionTolerance is the gate: a p99 value may grow by at most 10% over
-// the checked-in baseline.
-const regressionTolerance = 0.10
-
-// Compare is the benchmark regression gate. It walks every experiment of
-// the baseline report and returns an error describing every
-// "p99_ns"-suffixed value that grew by more than the tolerance in the
-// current report (a zero baseline value is not gated). A baseline
-// experiment or p99 key missing from the current report fails the gate
-// too: a vanished key means the experiment itself changed shape.
-func Compare(baseline, current *Report) error {
-	names := make([]string, 0, len(baseline.Experiments))
-	for name := range baseline.Experiments {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var bad []string
-	for _, name := range names {
-		cur, ok := current.Experiments[name]
-		if !ok {
-			bad = append(bad, fmt.Sprintf("%s: experiment missing from current report", name))
-			continue
-		}
-		base := baseline.Experiments[name]
-		keys := make([]string, 0, len(base.Values))
-		for k := range base.Values {
-			if strings.HasSuffix(k, "p99_ns") {
-				keys = append(keys, k)
-			}
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			b := base.Values[k]
-			c, ok := cur.Values[k]
-			if !ok {
-				bad = append(bad, fmt.Sprintf("%s/%s: missing from current report (baseline %.0f)", name, k, b))
-				continue
-			}
-			if b > 0 && c > b*(1+regressionTolerance) {
-				bad = append(bad, fmt.Sprintf("%s/%s: %.0f -> %.0f (+%.1f%%)", name, k, b, c, 100*(c/b-1)))
-			}
-		}
-	}
-	if len(bad) > 0 {
-		return fmt.Errorf("bench: regression gate failed (p99 tolerance %.0f%%):\n  %s",
-			100*regressionTolerance, strings.Join(bad, "\n  "))
-	}
-	return nil
 }
 
 // Summary returns a one-line digest (cmd/fbufbench prints it after
