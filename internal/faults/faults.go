@@ -167,15 +167,6 @@ func NewPlane(seed int64) *Plane {
 	return &Plane{rng: uint64(seed) ^ 0x9e3779b97f4a7c15}
 }
 
-// next draws the next value from the plane's splitmix64 stream.
-func (p *Plane) next() uint64 {
-	p.rng += 0x9e3779b97f4a7c15
-	z := p.rng
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 // SetRate sets the injection probability for a point, in parts per million.
 // Rate 0 disables the point and stops it drawing from the random stream.
 func (p *Plane) SetRate(pt Point, perMillion uint32) {
@@ -203,7 +194,7 @@ func (p *Plane) Should(pt Point) bool {
 	if r == 0 {
 		return false
 	}
-	if p.next()%1_000_000 >= uint64(r) {
+	if simtime.SplitMix64(&p.rng)%1_000_000 >= uint64(r) {
 		return false
 	}
 	p.injected[pt]++
@@ -274,7 +265,7 @@ func (p *Plane) LinkVerdict(id int, now simtime.Time) LinkAction {
 		lf.actions[Deliver]++
 		return Deliver
 	}
-	draw := p.next() % 1_000_000
+	draw := simtime.SplitMix64(&p.rng) % 1_000_000
 	a := Deliver
 	switch {
 	case draw < uint64(lf.DropPerMillion):

@@ -135,12 +135,7 @@ func (s *SWP) nextJitter(max simtime.Duration) simtime.Duration {
 	if max <= 0 {
 		return 0
 	}
-	s.jitter += 0x9e3779b97f4a7c15
-	z := s.jitter
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	return simtime.Duration(z % uint64(max))
+	return simtime.Duration(simtime.SplitMix64(&s.jitter) % uint64(max))
 }
 
 func (s *SWP) header(kind byte, seq uint64) []byte {

@@ -256,3 +256,16 @@ func Mbps(bytes int64, elapsed Duration) float64 {
 	}
 	return float64(bytes) * 8 / 1e6 / elapsed.Seconds()
 }
+
+// SplitMix64 advances the splitmix64 stream whose state is *state and
+// returns its next output. Every seeded schedule in the simulator (fault
+// verdicts, SWP backoff jitter, the overload and rings workloads) draws
+// from its own stream through this one step; each caller seeds its own
+// state.
+func SplitMix64(state *uint64) uint64 {
+	*state += 0x9e3779b97f4a7c15
+	z := *state
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}

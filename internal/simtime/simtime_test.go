@@ -215,3 +215,14 @@ func TestSchedulerMonotonicProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSplitMix64Reference pins the generator to splitmix64's reference
+// outputs from state 0.
+func TestSplitMix64Reference(t *testing.T) {
+	var state uint64
+	for i, want := range []uint64{0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x06c45d188009454f} {
+		if got := SplitMix64(&state); got != want {
+			t.Errorf("output %d = %#016x, want %#016x", i, got, want)
+		}
+	}
+}
