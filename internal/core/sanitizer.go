@@ -32,12 +32,12 @@ import (
 //     sanitizer is enabled (see aggregate/sanitize.go).
 //
 // Enable per manager with EnableSanitizer, for a whole process with the
-// FBSAN=1 environment variable or the fbsan build tag, or per run with
-// `fbufsim -fbsan`. Checks charge zero simulated time.
+// FBSAN=1 environment variable, or per run with `fbufsim -fbsan`. Checks
+// charge zero simulated time.
 
 // sanitizerDefault turns the sanitizer on for every new Manager when the
-// fbsan build tag or the FBSAN=1 environment variable is set.
-var sanitizerDefault = fbsanBuildTag || os.Getenv("FBSAN") == "1"
+// FBSAN=1 environment variable is set.
+var sanitizerDefault = os.Getenv("FBSAN") == "1"
 
 // SanitizerStats counts sanitizer activity (tests assert on these).
 type SanitizerStats struct {

@@ -208,7 +208,7 @@ func TestSanitizerReclaimNoFalsePositive(t *testing.T) {
 // TestSanitizerDisabledByDefault pins the zero-cost-when-off contract.
 func TestSanitizerDisabledByDefault(t *testing.T) {
 	if sanitizerDefault {
-		t.Skip("fbsan forced on via build tag or FBSAN=1")
+		t.Skip("fbsan forced on via FBSAN=1")
 	}
 	r := newRig(t)
 	if r.mgr.SanitizerEnabled() {
