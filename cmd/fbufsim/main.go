@@ -23,7 +23,12 @@
 // -stack instead sends a warm-up and then one measured message through the
 // paper's 3-domain UDP/IP loopback stack (app | netserver | receiver) and
 // prints the span profiler's layer × stage attribution of the measured
-// message, whose rows sum to its end-to-end time, then the total.
+// message, whose rows sum to its end-to-end time, then the time Send
+// spends after the sink ends the trace, then the total, which is the sum
+// of the two. That tail is the sending stubs' Free once their calls
+// return: nothing for cached/volatile fbufs, the originator's write
+// permission restored on recycle for cached ones (one 13 µs ProtChange
+// per page), and unmapping and teardown for uncached ones.
 package main
 
 import (
@@ -295,7 +300,8 @@ func export(sys *fbufs.System, o *obs.Observer, cfg config) error {
 
 // traceStack runs the paper's 3-domain UDP/IP loopback configuration with
 // the span layer attached, and prints the span profiler's layer × stage
-// attribution of a steady-state message (the warm-up message excluded).
+// attribution of a steady-state message (the warm-up message excluded),
+// the time Send spent after the trace ended, and the total.
 func traceStack(w io.Writer, opts fbufs.Options, cfg config) error {
 	sys := fbufs.New(1 << 14)
 	if cfg.fbsan {
@@ -324,11 +330,13 @@ func traceStack(w io.Writer, opts fbufs.Options, cfg config) error {
 	if err := s.Send(cfg.msgBytes); err != nil {
 		return err
 	}
-	total := sys.Now() - start
+	end := sys.Now()
 	measured := profile.NewProfiler()
+	traceEnd := start
 	traces := o.Spans.Completed()
 	for _, tr := range traces[len(traces)-int(o.Spans.CompletedCount()-warm):] {
 		measured.Add(tr)
+		traceEnd = max(traceEnd, tr.End)
 	}
 
 	fmt.Fprintf(w, "fbufsim -stack: %s fbufs, %d-byte message, app | netserver (UDP/IP) | receiver\n", cfg.mode, cfg.msgBytes)
@@ -336,7 +344,9 @@ func traceStack(w io.Writer, opts fbufs.Options, cfg config) error {
 	if err := measured.Report().WriteText(w); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "\ntotal: %v for %d bytes = %.0f Mb/s\n",
+	total := end - start
+	fmt.Fprintf(w, "\nafter the trace: %v\n", end-traceEnd)
+	fmt.Fprintf(w, "total: %v for %d bytes = %.0f Mb/s\n",
 		total, cfg.msgBytes, fbufs.Mbps(int64(cfg.msgBytes), total))
 	if err := reportProfile(w, prof, fr, cfg); err != nil {
 		return err

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -214,6 +216,50 @@ func TestStackModeTrace(t *testing.T) {
 	}
 	if !found {
 		t.Error("stack trace has no PktSend events")
+	}
+}
+
+// TestStackAccountsForTotal checks that -stack accounts for its whole
+// total in every mode: the table's end-to-end time plus the time after
+// the trace ends equals the total line, and the tail is the sending
+// stubs' Free once their calls return (16 pages of 4 KB: none for
+// cached/volatile, 16 ProtChanges of 13 µs for cached, unmapping and
+// teardown for the uncached modes).
+func TestStackAccountsForTotal(t *testing.T) {
+	field := func(out, re string) float64 {
+		t.Helper()
+		m := regexp.MustCompile(re).FindStringSubmatch(out)
+		if m == nil {
+			t.Fatalf("output has no match for %q:\n%s", re, out)
+		}
+		v, err := strconv.ParseFloat(m[1], 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	for _, tc := range []struct {
+		mode   string
+		tailUs float64
+	}{
+		{"cached-volatile", 0}, {"volatile", 136}, {"cached", 208}, {"plain", 136},
+	} {
+		t.Run(tc.mode, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := run(&buf, config{mode: tc.mode, stack: true, msgBytes: 65536}); err != nil {
+				t.Fatal(err)
+			}
+			out := buf.String()
+			e2e := field(out, `e2e p50 ([0-9.]+)us`)
+			tail := field(out, `(?m)^after the trace: ([0-9.]+)us$`)
+			total := field(out, `(?m)^total: ([0-9.]+)us`)
+			if tail != tc.tailUs {
+				t.Errorf("after the trace = %vus, want %vus", tail, tc.tailUs)
+			}
+			if e2e+tail != total {
+				t.Errorf("e2e %vus + after the trace %vus != total %vus", e2e, tail, total)
+			}
+		})
 	}
 }
 
