@@ -125,7 +125,7 @@ func (a *AuditResult) WriteTo(w io.Writer) (int64, error) {
 
 // AuditExperiment flattens the data path's attribution into a report
 // Experiment: headline is the end-to-end p99; values carry the per-stage
-// totals and p99s the regression gate (Compare) checks.
+// totals and p99s.
 func (a *AuditResult) AuditExperiment() (Experiment, error) {
 	pr := a.Profile.Path("data")
 	if pr == nil {

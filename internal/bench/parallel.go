@@ -340,8 +340,8 @@ func smpScalingValues() (map[string]float64, *Table, error) {
 // clocks: each shared resource (path lock, depot lock, each depot shard)
 // has a release time, and a worker arriving early advances to it. The
 // waits recorded against each shard become the per-shard contention
-// heatmap published into BENCH_report.json, whose p99s Compare gates
-// (10%) against the checked-in report.
+// heatmap published into BENCH_report.json, which the tests compare with
+// the checked-in report exactly.
 
 const (
 	// smpBurst is the batch size per half-round: 48 allocs, then 48 frees,
