@@ -15,6 +15,7 @@ package netsim
 
 import (
 	"fmt"
+	"hash/crc32"
 
 	"fbufs/internal/aggregate"
 	"fbufs/internal/core"
@@ -167,6 +168,8 @@ type Host struct {
 	dropped int
 	lossRng uint64
 	cfg     Config
+	// rxFree are this host's idle receive records (see rxEvent).
+	rxFree []*rxEvent
 
 	// ctxs are the aggregate arenas the host's protocol layers allocate
 	// from; Shutdown closes them so their held node buffers drain.
@@ -426,7 +429,9 @@ func (h *Host) Exec(ready simtime.Time, task func() error) error {
 // cell serialization on the link, reassembly DMA on the peer's bus
 // (overlapped cell by cell with transmission), then a receive interrupt.
 // With a fault plane attached, the link may additionally drop, corrupt,
-// duplicate, or reorder the PDU (faults.LinkVerdict).
+// duplicate, or reorder the PDU (faults.LinkVerdict). The PDU's wire buffer
+// goes back to the driver once the link has dropped it or the peer has
+// received it for the last time.
 func (h *Host) transmit(pdu osiris.TxPDU, dmaReady simtime.Time) {
 	peer := h.peer
 	h.txCount++
@@ -441,6 +446,7 @@ func (h *Host) transmit(pdu osiris.TxPDU, dmaReady simtime.Time) {
 			// time are spent, but nothing arrives at the peer.
 			h.dropped++
 			h.Bus.ExecAt(dmaReady, osiris.BusTime(h.cost, len(pdu.Data)), nil)
+			h.Driver.Recycle(pdu.Data)
 			return
 		}
 	}
@@ -455,18 +461,24 @@ func (h *Host) transmit(pdu osiris.TxPDU, dmaReady simtime.Time) {
 		// nothing arrives. SWP sees a missing ack and backs off.
 		h.dropped++
 		h.Bus.ExecAt(dmaReady, osiris.BusTime(h.cost, len(pdu.Data)), nil)
+		h.Driver.Recycle(pdu.Data)
 		return
 	}
-	data := pdu.Data
-	if verdict == faults.Corrupt {
-		// Flip a payload byte in a copy (the queued PDU may be the
-		// retransmission source upstream); the peer adapter's CRC check
-		// discards the damaged frame, so corruption degenerates to loss
-		// after full link and bus costs.
-		data = append([]byte(nil), pdu.Data...)
-		if len(data) > 0 {
-			data[len(data)/2] ^= 0xff
-		}
+	// The adapter computes an AAL5-trailer-style CRC over the wire bytes
+	// during transmit DMA, in hardware, so no CPU cost is charged. Only a
+	// fault-plane link can damage bytes, and only there does the peer
+	// adapter check it (ReceiveChecked), so only there is it computed.
+	var crc uint32
+	if h.cfg.Faults != nil {
+		crc = crc32.ChecksumIEEE(pdu.Data)
+	}
+	if verdict == faults.Corrupt && len(pdu.Data) > 0 {
+		// Flip a payload byte in the wire buffer itself: nothing above
+		// the driver holds wire bytes, and a retransmission gathers
+		// afresh from fbufs. The peer adapter's CRC check discards the
+		// damaged frame, so corruption degenerates to loss after full
+		// link and bus costs.
+		pdu.Data[len(pdu.Data)/2] ^= 0xff
 	}
 	busTime := osiris.BusTime(h.cost, len(pdu.Data))
 	cellTime := h.cost.BusCellDMA + h.cost.BusContention
@@ -490,33 +502,77 @@ func (h *Host) transmit(pdu osiris.TxPDU, dmaReady simtime.Time) {
 		// keeping the schedule seed-deterministic.
 		deliverAt += 2*busTime + simtime.MS(1)
 	}
-	h.deliverPDU(pdu.VCI, data, pdu.CRC, pdu.Trace, deliverAt)
+	h.deliverPDU(&pdu, crc, deliverAt, verdict != faults.Duplicate)
 	if verdict == faults.Duplicate {
 		// The second copy occupies the peer bus again and arrives just
 		// behind the first; SWP's duplicate suppression absorbs it.
 		rxEnd2 := peer.Bus.ExecAt(rxEnd, busTime, nil)
-		h.deliverPDU(pdu.VCI, pdu.Data, pdu.CRC, pdu.Trace, rxEnd2)
+		h.deliverPDU(&pdu, crc, rxEnd2, true)
 	}
 }
 
-// deliverPDU schedules the receive interrupt on the peer. Fault-plane runs
-// route through the adapter's CRC check so corrupted frames are discarded;
-// plain runs keep the historical CRC-oblivious path byte-for-byte. The
-// PDU's trace id rides along so the peer's receive spans land in the same
-// trace the sender opened.
-func (h *Host) deliverPDU(v osiris.VCI, data []byte, crc uint32, trace uint64, at simtime.Time) {
-	peer := h.peer
-	h.sched.At(at, func() {
-		_ = peer.Exec(at, func() error {
-			if o := peer.Sys.Obs; o != nil {
-				o.ResumeTrace(trace)
-			}
-			if h.cfg.Faults != nil {
-				return peer.Driver.ReceiveChecked(v, data, crc)
-			}
-			return peer.Driver.Receive(v, data)
-		})
-	})
+// deliverPDU schedules the peer's receive interrupt for pdu at time at.
+// last marks the PDU's final delivery, after which its wire buffer goes
+// back to this host's driver.
+func (h *Host) deliverPDU(pdu *osiris.TxPDU, crc uint32, at simtime.Time, last bool) {
+	var r *rxEvent
+	if n := len(h.rxFree); n > 0 {
+		r, h.rxFree = h.rxFree[n-1], h.rxFree[:n-1]
+	} else {
+		r = &rxEvent{h: h}
+		r.fire, r.task = r.run, r.receive
+	}
+	r.pdu, r.crc, r.at, r.last = *pdu, crc, at, last
+	h.sched.At(at, r.fire)
+}
+
+// rxEvent is one scheduled receive interrupt of a PDU host h sent. A host
+// keeps its idle records for reuse, and each record's callbacks are bound
+// once, so a warm PDU's receive schedules without allocating.
+type rxEvent struct {
+	h    *Host
+	pdu  osiris.TxPDU
+	crc  uint32
+	at   simtime.Time
+	last bool
+	fire func()       // r.run
+	task func() error // r.receive
+}
+
+// run is the receive interrupt: a task on the peer's CPU.
+func (r *rxEvent) run() {
+	h := r.h
+	_ = h.peer.Exec(r.at, r.task)
+	if r.last {
+		h.Driver.Recycle(r.pdu.Data)
+	}
+	r.pdu.Data = nil
+	h.rxFree = append(h.rxFree, r)
+}
+
+// receive hands the PDU to the peer's driver. Fault-plane runs route
+// through the adapter's CRC check so corrupted frames are discarded; plain
+// runs, whose links cannot corrupt, take the CRC-oblivious path. The PDU's
+// trace id rides along so the peer's receive spans land in the same trace
+// the sender opened.
+func (r *rxEvent) receive() error {
+	peer := r.h.peer
+	if o := peer.Sys.Obs; o != nil {
+		o.ResumeTrace(r.pdu.Trace)
+	}
+	if r.h.cfg.Faults != nil {
+		return peer.Driver.ReceiveChecked(r.pdu.VCI, r.pdu.Data, r.crc)
+	}
+	return peer.Driver.Receive(r.pdu.VCI, r.pdu.Data)
+}
+
+// endRun drops what the host kept for reuse within a run: its driver's
+// spare wire buffers and its idle receive records. Once the scheduler has
+// drained, no PDU is in flight, so nothing of the run's traffic outlives
+// it.
+func (h *Host) endRun() {
+	h.Driver.ReleaseSpares()
+	h.rxFree = nil
 }
 
 // E2E is one end-to-end experiment run.
@@ -611,6 +667,8 @@ func (e *E2E) Run() (Result, error) {
 		return Result{}, err
 	}
 	e.Sched.Run(0)
+	e.A.endRun()
+	e.B.endRun()
 	if e.err != nil {
 		return Result{}, e.err
 	}

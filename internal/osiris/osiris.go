@@ -20,6 +20,7 @@ package osiris
 import (
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"fbufs/internal/aggregate"
 	"fbufs/internal/core"
@@ -43,14 +44,12 @@ const MaxCachedVCIs = 16
 // netsim host uses the offset to start each PDU's DMA as soon as it is
 // ready, pipelining fragmentation with transmission.
 type TxPDU struct {
-	VCI       VCI
+	VCI VCI
+	// Data is one of the driver's wire buffers. The link hands it back
+	// with Recycle once the peer adapter has copied it or the link has
+	// dropped it.
 	Data      []byte
 	CPUOffset simtime.Duration
-	// CRC is the AAL5-trailer-style checksum the adapter computes over the
-	// wire bytes during transmit DMA; the receiving adapter recomputes it
-	// (ReceiveChecked) and discards corrupted PDUs. Computed in hardware,
-	// so no CPU cost is charged.
-	CRC uint32
 	// Trace is the transfer trace the PDU belongs to (0: untraced). It
 	// crosses the wire so the receiving host's spans land in the same
 	// trace — the cross-host leg of the latency attribution.
@@ -71,6 +70,9 @@ type Driver struct {
 	CPUOffset func() simtime.Duration
 
 	txq []TxPDU
+	// spares are recycled wire buffers, the most recent last. Push reuses
+	// them; ReleaseSpares drops them at the end of a run.
+	spares [][]byte
 
 	// VCI table: cached reassembly paths, LRU-ordered (front = oldest).
 	vcis    map[VCI]*vciEntry
@@ -111,10 +113,12 @@ func NewDriver(env *xkernel.Env, opts core.Options, rxDoms []*domain.Domain, rxP
 }
 
 // Push gathers the PDU's bytes by DMA (no CPU data touching: the board is
-// a bus master reading the fbufs' frames directly) into one wire buffer
-// and queues it for transmission, then releases the kernel's buffer
+// a bus master reading the fbufs' frames directly) into a wire buffer and
+// queues it for transmission, then releases the kernel's buffer
 // references. The copy stays: once freed, the frames go back to the LIFO
-// fbuf cache and are rewritten while the PDU is still on the wire.
+// fbuf cache and are rewritten while the PDU is still on the wire. The
+// wire buffer is a recycled spare when one is long enough, so a warm
+// transmit allocates nothing.
 func (d *Driver) Push(m *aggregate.Msg) error {
 	o := d.env.Sys.Obs
 	if o != nil {
@@ -122,21 +126,22 @@ func (d *Driver) Push(m *aggregate.Msg) error {
 		defer o.SpanEnd()
 	}
 	d.env.Sys.Sink().Charge(d.env.Sys.Cost.DriverPerPDU)
-	data := make([]byte, m.Len())
+	data := d.wireBuffer(m.Len())
 	off := 0
 	for _, s := range m.Segs() {
-		// A nil fbuf is absence of data (volatile dangling reference):
-		// the wire carries zeros.
-		if s.F != nil {
-			if err := s.F.DMARead(int(s.VA-s.F.Base), data[off:off+s.N]); err != nil {
-				return err
-			}
+		seg := data[off : off+s.N]
+		if s.F == nil {
+			// A nil fbuf is absence of data (volatile dangling
+			// reference): the wire carries zeros, not a reused
+			// buffer's earlier bytes.
+			clear(seg)
+		} else if err := s.F.DMARead(int(s.VA-s.F.Base), seg); err != nil {
+			return err
 		}
 		off += s.N
 	}
 	d.txq = append(d.txq, TxPDU{
-		VCI: d.TxVCI, Data: data, CPUOffset: d.CPUOffset(),
-		CRC: crc32.ChecksumIEEE(data), Trace: o.CurrentTrace(),
+		VCI: d.TxVCI, Data: data, CPUOffset: d.CPUOffset(), Trace: o.CurrentTrace(),
 	})
 	d.TxPDUs++
 	if o != nil {
@@ -145,11 +150,44 @@ func (d *Driver) Push(m *aggregate.Msg) error {
 	return m.Free(d.Dom())
 }
 
+// wireBuffer returns an n-byte wire buffer: the most recently recycled
+// spare of at least n bytes, else a new one. A shorter spare, such as a
+// message's last fragment's, stays listed for a PDU it fits.
+func (d *Driver) wireBuffer(n int) []byte {
+	for i := len(d.spares) - 1; i >= 0; i-- {
+		if b := d.spares[i]; len(b) >= n {
+			d.spares = slices.Delete(d.spares, i, i+1)
+			return b[:n]
+		}
+	}
+	return make([]byte, n)
+}
+
+// Recycle hands back a wire buffer from TakeTxQueue once the link is done
+// with it: the peer adapter has copied it, or the link has dropped it.
+// Push reuses it.
+func (d *Driver) Recycle(data []byte) {
+	d.spares = append(d.spares, data[:cap(data)])
+}
+
+// ReleaseSpares drops the recycled wire buffers, and the transmit queue
+// array's references to the buffers TakeTxQueue handed out, so that no
+// wire buffer outlives the run that used it. netsim calls it once a run
+// has drained.
+func (d *Driver) ReleaseSpares() {
+	d.spares = nil
+	clear(d.txq[len(d.txq):cap(d.txq)])
+}
+
+// Spares reports how many recycled wire buffers the driver holds.
+func (d *Driver) Spares() int { return len(d.spares) }
+
 // TakeTxQueue drains the transmit queue (the netsim host flushes it after
-// each CPU task).
+// each CPU task). The slice is the driver's queue array, which the next
+// Push reuses.
 func (d *Driver) TakeTxQueue() []TxPDU {
 	q := d.txq
-	d.txq = nil
+	d.txq = d.txq[:0]
 	return q
 }
 

@@ -2,7 +2,9 @@ package osiris
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"testing"
 
 	"fbufs/internal/aggregate"
@@ -23,7 +25,7 @@ type rig struct {
 	app *domain.Domain
 }
 
-func newRig(t *testing.T) *rig {
+func newRig(t testing.TB) *rig {
 	t.Helper()
 	clk := &simtime.Clock{}
 	sys := vm.NewSystem(machine.DecStation5000(), 8192, vm.ClockSink{Clock: clk})
@@ -246,5 +248,175 @@ func TestReceiveChargesInterruptAndDriver(t *testing.T) {
 	min := r.sys.Cost.InterruptCost + r.sys.Cost.DriverPerPDU
 	if got := r.clk.Now() - start; got < min {
 		t.Fatalf("receive charged %v, want at least %v", got, min)
+	}
+}
+
+// txCtx returns an integrated kernel context whose data fbufs hold 16 KB.
+func txCtx(t testing.TB, r *rig) *aggregate.Ctx {
+	t.Helper()
+	p, err := r.mgr.NewPath("tx", core.CachedVolatile(), 4, r.reg.Kernel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, err := aggregate.NewCtx(r.mgr, p, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ctx
+}
+
+// pushOne pushes a message holding data and takes its one queued PDU.
+func pushOne(t *testing.T, d *Driver, ctx *aggregate.Ctx, data []byte) []byte {
+	t.Helper()
+	m, err := ctx.NewData(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Push(m); err != nil {
+		t.Fatal(err)
+	}
+	q := d.TakeTxQueue()
+	if len(q) != 1 || !bytes.Equal(q[0].Data, data) {
+		t.Fatal("gathered wire bytes differ from message")
+	}
+	return q[0].Data
+}
+
+// TestRecycledBufferZeroesAbsentData: a PDU whose message has a nil-fbuf
+// segment (a volatile dangling reference) carries zeros there, even when
+// its wire buffer is a recycled one that held another PDU's bytes.
+func TestRecycledBufferZeroesAbsentData(t *testing.T) {
+	r := newRig(t)
+	d, _ := newDriver(t, r)
+	ctx := txCtx(t, r)
+	const real, absent = 1000, 3000
+	wire := pushOne(t, d, ctx, bytes.Repeat([]byte{0xaa}, real+absent))
+	d.Recycle(wire)
+
+	// A pair node whose left leaf is data in f and whose right leaf points
+	// at the region's last page, which no fbuf covers.
+	p, err := r.mgr.NewPath("dag", core.CachedVolatile(), 1, r.reg.Kernel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := p.Alloc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, real+absent)
+	for i := range want[:real] {
+		want[i] = byte(i*7 + 1)
+	}
+	if err := f.Write(r.reg.Kernel(), 0, want[:real]); err != nil {
+		t.Fatal(err)
+	}
+	dangling := core.RegionBase + vm.VA((r.mgr.RegionPages()-1)*machine.PageSize)
+	if r.mgr.FbufAt(dangling) != nil {
+		t.Fatal("the region's last page is an fbuf")
+	}
+	node := func(kind byte, n int, a, b vm.VA) []byte {
+		enc := make([]byte, 32)
+		enc[0] = kind
+		binary.LittleEndian.PutUint32(enc[4:], uint32(n))
+		binary.LittleEndian.PutUint64(enc[8:], uint64(a))
+		binary.LittleEndian.PutUint64(enc[16:], uint64(b))
+		return enc
+	}
+	const leaf, pair = 1, 2
+	nodes := slices.Concat(
+		node(pair, real+absent, f.Base+2048+32, f.Base+2048+64),
+		node(leaf, real, f.Base, 0),
+		node(leaf, absent, dangling, 0))
+	if err := f.Write(r.reg.Kernel(), 2048, nodes); err != nil {
+		t.Fatal(err)
+	}
+	m, err := aggregate.Open(r.mgr, r.reg.Kernel(), f.Base+2048)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if segs := m.Segs(); len(segs) != 2 || segs[1].F != nil {
+		t.Fatalf("opened %d segments, want a data leaf and a dangling one", len(segs))
+	}
+	if err := d.Push(m); err != nil {
+		t.Fatal(err)
+	}
+	q := d.TakeTxQueue()
+	if len(q) != 1 {
+		t.Fatalf("queued %d PDUs", len(q))
+	}
+	if &q[0].Data[0] != &wire[0] {
+		t.Fatal("the PDU did not reuse the recycled buffer")
+	}
+	if !bytes.Equal(q[0].Data, want) {
+		t.Fatalf("wire bytes [%d:] = %x..., want zeros after the data leaf", real, q[0].Data[real:real+8])
+	}
+}
+
+// TestShortSpareNotStretched: a spare shorter than the next PDU is never
+// sliced past its length, and it does not block the spares below it.
+func TestShortSpareNotStretched(t *testing.T) {
+	r := newRig(t)
+	d, _ := newDriver(t, r)
+	ctx := txCtx(t, r)
+	ones, twos := bytes.Repeat([]byte{1}, 100), bytes.Repeat([]byte{2}, 9000)
+	short := pushOne(t, d, ctx, ones)
+	long := pushOne(t, d, ctx, twos)
+	d.Recycle(long)
+	d.Recycle(short) // the most recent spare is too short for the next PDU
+	again := pushOne(t, d, ctx, bytes.Repeat([]byte{3}, 9000))
+	if &again[0] != &long[0] {
+		t.Fatal("a 9000-byte PDU did not reuse the 9000-byte spare below a 100-byte one")
+	}
+	if d.Spares() != 1 || !bytes.Equal(short, ones) {
+		t.Fatal("the short spare was dropped or written")
+	}
+	if b := pushOne(t, d, ctx, bytes.Repeat([]byte{4}, 100)); &b[0] != &short[0] || d.Spares() != 0 {
+		t.Fatal("a 100-byte PDU did not reuse the 100-byte spare")
+	}
+	d.Recycle(again)
+	d.ReleaseSpares()
+	if d.Spares() != 0 {
+		t.Fatalf("%d spares after ReleaseSpares", d.Spares())
+	}
+}
+
+// discard frees every delivered message unread.
+type discard struct {
+	xkernel.Base
+}
+
+func (s *discard) Deliver(m *aggregate.Msg) error { return m.Free(s.Dom()) }
+func (s *discard) Push(m *aggregate.Msg) error    { return fmt.Errorf("discard push") }
+
+// BenchmarkPushReceive pushes a warm 16 KB PDU, receives it on a cached
+// circuit and recycles its wire buffer.
+func BenchmarkPushReceive(b *testing.B) {
+	r := newRig(b)
+	d := NewDriver(r.env, core.CachedVolatile(), []*domain.Domain{r.reg.Kernel()}, 5)
+	d.SetAbove(&discard{Base: xkernel.NewBase("discard", r.reg.Kernel())})
+	if err := d.AddVCI(5); err != nil {
+		b.Fatal(err)
+	}
+	ctx := txCtx(b, r)
+	cycle := func() {
+		m, err := ctx.NewTouched(16 * 1024)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := d.Push(m); err != nil {
+			b.Fatal(err)
+		}
+		for _, pdu := range d.TakeTxQueue() {
+			if err := d.Receive(5, pdu.Data); err != nil {
+				b.Fatal(err)
+			}
+			d.Recycle(pdu.Data)
+		}
+	}
+	cycle()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle()
 	}
 }

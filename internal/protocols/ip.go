@@ -28,6 +28,9 @@ type IP struct {
 
 	nextID  uint32
 	partial map[uint32]*reassembly
+	// spare is a completed datagram's reassembly record, its map cleared
+	// but keeping its buckets, for the next fragmented datagram.
+	spare *reassembly
 
 	// Stats
 	SentPDUs, ReceivedPDUs, Reassembled, Dropped uint64
@@ -151,7 +154,12 @@ func (ip *IP) Deliver(m *aggregate.Msg) error {
 	}
 	r := ip.partial[id]
 	if r == nil {
-		r = &reassembly{total: -1, segments: make(map[int]*aggregate.Msg)}
+		if r = ip.spare; r != nil {
+			ip.spare = nil
+		} else {
+			r = &reassembly{segments: make(map[int]*aggregate.Msg)}
+		}
+		r.total = -1
 		ip.partial[id] = r
 	}
 	if dup, ok := r.segments[off]; ok {
@@ -175,7 +183,11 @@ func (ip *IP) Deliver(m *aggregate.Msg) error {
 		return err
 	}
 	delete(ip.partial, id)
-	if whole.Len() != r.total {
+	total := r.total
+	clear(r.segments)
+	r.got = 0
+	ip.spare = r
+	if whole.Len() != total {
 		ip.Dropped++
 		return whole.Free(ip.Dom())
 	}

@@ -11,7 +11,6 @@
 package simtime
 
 import (
-	"container/heap"
 	"fmt"
 	"sync/atomic"
 )
@@ -86,32 +85,25 @@ type event struct {
 	fn  func()
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before orders events by (at, seq). No two events share a seq, so this is
+// a strict total order and the pop order is the same for any correct heap.
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+	return e.seq < o.seq
 }
 
 // Scheduler is a discrete-event scheduler driving a global virtual timeline.
 // The two-host end-to-end experiments use a Scheduler; the single-host
 // experiments charge costs to a Clock directly.
+//
+// Pending events sit by value in a binary min-heap on (at, seq), so
+// scheduling an event allocates nothing once the heap's array has grown
+// to the run's peak.
 type Scheduler struct {
 	clock Clock
-	queue eventHeap
+	queue []event
 	seq   uint64
 }
 
@@ -128,7 +120,16 @@ func (s *Scheduler) At(t Time, fn func()) {
 		t = s.clock.Now()
 	}
 	s.seq++
-	heap.Push(&s.queue, &event{at: t, seq: s.seq, fn: fn})
+	q := append(s.queue, event{at: t, seq: s.seq, fn: fn})
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !q[i].before(&q[p]) {
+			break
+		}
+		q[i], q[p] = q[p], q[i]
+		i = p
+	}
+	s.queue = q
 }
 
 // After schedules fn to run d nanoseconds from now.
@@ -137,10 +138,32 @@ func (s *Scheduler) After(d Duration, fn func()) { s.At(s.clock.Now()+d, fn) }
 // Step runs the earliest pending event, advancing virtual time to it.
 // It reports whether an event was run.
 func (s *Scheduler) Step() bool {
-	if len(s.queue) == 0 {
+	q := s.queue
+	n := len(q) - 1
+	if n < 0 {
 		return false
 	}
-	e := heap.Pop(&s.queue).(*event)
+	// Copy the event out before running it: its callback may schedule
+	// more, which moves the heap's entries.
+	e := q[0]
+	q[0] = q[n]
+	q[n] = event{} // the array keeps no callback alive
+	q = q[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(&q[c]) {
+			c = r
+		}
+		if !q[c].before(&q[i]) {
+			break
+		}
+		q[i], q[c] = q[c], q[i]
+		i = c
+	}
+	s.queue = q
 	s.clock.AdvanceTo(e.at)
 	e.fn()
 	return true

@@ -226,3 +226,93 @@ func TestSplitMix64Reference(t *testing.T) {
 		}
 	}
 }
+
+// TestSchedulerMatchesReference interleaves At, at times equal to now, in
+// the future and in the past, with Step, and checks every step against a
+// reference that runs the pending event with the least (at, seq), a past
+// time counting as now.
+func TestSchedulerMatchesReference(t *testing.T) {
+	type ref struct {
+		at  Time
+		seq int
+	}
+	for seed := uint64(1); seed <= 50; seed++ {
+		state := seed
+		s := NewScheduler()
+		var pending []ref
+		ran := -1
+		seq := 0
+		for op := 0; op < 2000; op++ {
+			r := SplitMix64(&state)
+			if r%8 < 5 || len(pending) == 0 {
+				now := s.Now()
+				var at Time
+				switch r / 8 % 4 {
+				case 0:
+					at = now
+				case 1:
+					at = now - Time(r>>16%50) - 1
+				default:
+					at = now + Time(r>>16%20)
+				}
+				id := seq
+				seq++
+				s.At(at, func() { ran = id })
+				pending = append(pending, ref{at: max(at, now), seq: id})
+				continue
+			}
+			next := 0
+			for i, p := range pending {
+				if p.at < pending[next].at || p.at == pending[next].at && p.seq < pending[next].seq {
+					next = i
+				}
+			}
+			want := pending[next]
+			pending = append(pending[:next], pending[next+1:]...)
+			if !s.Step() {
+				t.Fatalf("seed %d op %d: Step ran nothing with %d pending", seed, op, len(pending)+1)
+			}
+			if ran != want.seq || s.Now() != want.at {
+				t.Fatalf("seed %d op %d: ran event %d at %v, want %d at %v", seed, op, ran, s.Now(), want.seq, want.at)
+			}
+			if s.Pending() != len(pending) {
+				t.Fatalf("seed %d op %d: %d pending, want %d", seed, op, s.Pending(), len(pending))
+			}
+		}
+	}
+}
+
+// TestScheduleAllocationFree: once the heap's array has grown, scheduling
+// and running an event allocates nothing.
+func TestScheduleAllocationFree(t *testing.T) {
+	s := NewScheduler()
+	fn := func() {}
+	for i := 0; i < 64; i++ {
+		s.After(Duration(i), fn)
+	}
+	cycle := func() {
+		s.After(32, fn)
+		s.Step()
+	}
+	cycle()
+	if n := testing.AllocsPerRun(1000, cycle); n != 0 {
+		t.Errorf("At+Step: %v allocs per cycle, want 0", n)
+	}
+}
+
+// BenchmarkSchedule times one At and one Step on a heap of 512 pending
+// events.
+func BenchmarkSchedule(b *testing.B) {
+	s := NewScheduler()
+	fn := func() {}
+	var state uint64 = 1
+	for i := 0; i < 512; i++ {
+		s.After(Duration(SplitMix64(&state)%4096), fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.After(Duration(SplitMix64(&state)%4096), fn)
+		s.Step()
+	}
+}
