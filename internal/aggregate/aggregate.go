@@ -73,7 +73,9 @@ func (m *Msg) RootVA() vm.VA { return m.rootVA }
 // Integrated reports the storage mode.
 func (m *Msg) Integrated() bool { return m.integrated }
 
-// Segs returns the message's segment list (read-only use).
+// Segs returns the message's segment list (read-only use). Once an edit
+// has consumed the message, its lists belong to the edit's result: Join,
+// Split, ClipHead and Pop may reuse and rewrite them in place.
 func (m *Msg) Segs() []Seg { return m.segs }
 
 // Fbufs returns the unique fbufs the message references — the list a

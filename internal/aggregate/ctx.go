@@ -32,6 +32,10 @@ type Ctx struct {
 	cur     *core.Fbuf
 	curOff  int
 	retired []*core.Fbuf
+	// run holds the nodes encoded into cur from offset runOff on and not
+	// yet stored (see flush).
+	run    []byte
+	runOff int
 
 	// Deterministic per-Ctx scratch state, reused across operations so the
 	// steady-state editing path stays allocation-free (a Ctx belongs to one
@@ -49,8 +53,9 @@ type Ctx struct {
 	// Bump slabs every Msg the Ctx builds, and its segment and fbuf
 	// lists, are carved from (see carve). A carve is never handed out
 	// again, so a consumed Msg stays consumed and its lists stay its own
-	// until a Join takes them over; the GC frees a slab once nothing
-	// carved from it is reachable.
+	// until the edit that consumed it takes them over (Join, Split,
+	// ClipHead); the GC frees a slab once nothing carved from it is
+	// reachable.
 	msgSlab  []Msg
 	segSlab  []Seg
 	fbufSlab []*core.Fbuf
@@ -452,6 +457,10 @@ func (c *Ctx) Join(a, b *Msg) (*Msg, error) {
 // the two halves. Data is never copied: boundary-crossing leaves are
 // re-described by offset/length, exactly as the paper prescribes for IP
 // fragmentation.
+//
+// Like Join, the second half takes over m's segment and fbuf arrays when
+// m's layout allows (see keep), so cutting n fragments off a message
+// copies each fragment's entries, not the remainder's.
 func (c *Ctx) Split(m *Msg, off int) (*Msg, *Msg, error) {
 	if m.consumed {
 		return nil, nil, ErrConsumed
@@ -459,13 +468,18 @@ func (c *Ctx) Split(m *Msg, off int) (*Msg, *Msg, error) {
 	if off < 0 || off > m.length {
 		return nil, nil, fmt.Errorf("%w: split at %d of %d", ErrRange, off, m.length)
 	}
-	s1 := c.sliceSegs(m.segs, 0, off)
-	s2 := c.sliceSegs(m.segs, off, m.length-off)
-	a, err := c.fromSegs(s1)
+	a, err := c.fromSegs(c.sliceSegs(m.segs, 0, off))
 	if err != nil {
 		return nil, nil, err
 	}
-	b, err := c.fromSegs(s2)
+	if k, ok := m.cut(off); ok {
+		b, err := c.keep(m, k, a)
+		if err != nil {
+			return nil, nil, err
+		}
+		return a, b, nil
+	}
+	b, err := c.fromSegs(c.sliceSegs(m.segs, off, m.length-off))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -475,13 +489,17 @@ func (c *Ctx) Split(m *Msg, off int) (*Msg, *Msg, error) {
 	return a, b, nil
 }
 
-// ClipHead drops the first n bytes (popping a protocol header), consuming m.
+// ClipHead drops the first n bytes (popping a protocol header), consuming
+// m. The result takes over m's lists as Split's second half does.
 func (c *Ctx) ClipHead(m *Msg, n int) (*Msg, error) {
 	if m.consumed {
 		return nil, ErrConsumed
 	}
 	if n < 0 || n > m.length {
 		return nil, fmt.Errorf("%w: clip %d of %d", ErrRange, n, m.length)
+	}
+	if k, ok := m.cut(n); ok {
+		return c.keep(m, k, nil)
 	}
 	out, err := c.fromSegs(c.sliceSegs(m.segs, n, m.length-n))
 	if err != nil {
@@ -491,6 +509,150 @@ func (c *Ctx) ClipHead(m *Msg, n int) (*Msg, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// cut is where an edit divides a message: its tail, the bytes from off
+// on, starts d bytes into segment i. The tail's data fbufs are
+// m.fbufs[jb:m.ndata]; shared reports that the head holds the first of
+// them too.
+type cut struct {
+	off, i, d, jb int
+	shared        bool
+}
+
+// cut locates byte off of m and reports whether the tail may take over
+// m's lists: m is a built message, no segment lacks its fbuf, and from
+// the boundary on each data fbuf backs one run of segments, in list
+// order. Then only the boundary fbuf can back segments on both sides.
+// Join(m, Clone(m)) builds an X,Y,X layout that fails the test, as do
+// Opened views, whose fbufs are in traversal order.
+func (m *Msg) cut(off int) (cut, bool) {
+	k := cut{off: off}
+	if m.ndata < 0 {
+		return k, false
+	}
+	pos := 0
+	for k.i < len(m.segs) && pos+m.segs[k.i].N <= off {
+		pos += m.segs[k.i].N
+		k.i++
+	}
+	k.d = off - pos
+	head := m.segs[:k.i]
+	if k.d > 0 {
+		head = m.segs[:k.i+1]
+	}
+	// A built message lists its data fbufs in order of first use, so
+	// each segment's fbuf is the next unmet one or one met before.
+	data := m.fbufs[:m.ndata]
+	met := 0
+	var last *core.Fbuf
+	for _, s := range head {
+		if s.F == nil {
+			return k, false
+		}
+		if met < len(data) && s.F == data[met] {
+			met++
+		}
+		last = s.F
+	}
+	k.jb = met
+	for j, s := range m.segs[k.i:] {
+		switch {
+		case s.F == nil:
+			return k, false
+		case s.F == last:
+			if j == 0 {
+				// The boundary fbuf: both halves hold it, and it
+				// must be the last one the head met.
+				if met == 0 || data[met-1] != last {
+					return k, false
+				}
+				k.jb, k.shared = met-1, true
+			}
+		case met < len(data) && s.F == data[met]:
+			met++
+		default:
+			return k, false
+		}
+		last = s.F
+	}
+	return k, met == len(data)
+}
+
+// keep builds the tail of an edit, m's bytes from cut k on, over m's own
+// lists: the boundary segment is trimmed in place and m.fbufs[k.jb:]
+// becomes the tail's fbuf list. head, when not nil, is the edit's other
+// output, already built. Every data fbuf but the boundary one stays with
+// one side and keeps m's reference, so only the fbufs whose counts move
+// enter the balance: m's node fbufs, head's and the tail's, the boundary
+// fbuf when head holds it too, and, with no head, the data fbufs the edit
+// drops. m is consumed when the balance is applied; a failure before
+// that leaves it as it was.
+func (c *Ctx) keep(m *Msg, k cut, head *Msg) (*Msg, error) {
+	segs := m.segs[k.i:]
+	var boundary Seg
+	if k.d > 0 {
+		boundary = segs[0]
+		segs[0].VA += vm.VA(k.d)
+		segs[0].N -= k.d
+	}
+	fail := func(err error) (*Msg, error) {
+		if k.d > 0 {
+			segs[0] = boundary
+		}
+		return nil, err
+	}
+	var root vm.VA
+	var nodes []*core.Fbuf
+	if c.integrated {
+		var err error
+		if root, nodes, err = c.buildRoot(segs); err != nil {
+			return fail(err)
+		}
+	}
+	data := m.fbufs[k.jb:m.ndata]
+	refs, added := c.refs[:0], c.added[:0]
+	for _, f := range m.fbufs[m.ndata:] {
+		refs = append(refs, ref{f: f, have: 1})
+	}
+	if head == nil {
+		for _, f := range m.fbufs[:k.jb] {
+			refs = append(refs, ref{f: f, have: 1})
+		}
+	} else {
+		for _, f := range head.fbufs[head.ndata:] {
+			refs = append(refs, ref{f: f, need: 1})
+		}
+		if k.shared {
+			refs = append(refs, ref{f: data[0], need: 1})
+		}
+	}
+	for _, f := range nodes {
+		if !slices.Contains(data, f) {
+			added = append(added, f)
+			refs = append(refs, ref{f: f, need: 1})
+		}
+	}
+	c.refs, c.added = refs, added
+	if err := c.apply(refs, []*Msg{m}); err != nil {
+		return fail(err)
+	}
+	fbufs := data
+	if n := len(data) + len(added); n > cap(fbufs) {
+		fbufs = append(carve(&c.fbufSlab, listSlabLen, n), data...)
+	}
+	t := c.newMsg()
+	*t = Msg{
+		mgr:        c.Mgr,
+		integrated: c.integrated,
+		rootVA:     root,
+		segs:       segs,
+		fbufs:      append(fbufs, added...),
+		ndata:      len(data),
+		length:     m.length - k.off,
+	}
+	c.validate(t)
+	return t, nil
 }
 
 // ClipTail drops the last n bytes, consuming m.
@@ -568,11 +730,7 @@ func (c *Ctx) fromSegs(segs []Seg) (*Msg, error) {
 		ndata:      ndata,
 		length:     totalLen(segs),
 	}
-	if s := c.Mgr.Sanitizer(); s != nil {
-		if err := c.validateMsg(m); err != nil {
-			s.Violation("aggregate msg build: %v", err)
-		}
-	}
+	c.validate(m)
 	return m, nil
 }
 

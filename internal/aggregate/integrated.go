@@ -71,12 +71,16 @@ func EmptyLeafImage(page []byte) {
 // allocNode reserves a 32-byte node slot in the context's arena, rotating
 // to a fresh node fbuf when the current one fills. The arena keeps its own
 // reference on the current fbuf; operations take additional references for
-// the messages they build.
+// the messages they build. The pending run is stored before the arena
+// rotates away from the fbuf it belongs to.
 func (c *Ctx) allocNode() (vm.VA, *core.Fbuf, error) {
 	// Rotate when full — or when the current node fbuf became immutable
 	// because a message using it was transferred under non-volatile (or
 	// explicitly secured) rules; buffers are never modified once secured.
 	if c.cur == nil || c.curOff+nodeSize > c.cur.Size() || c.cur.Secured() {
+		if err := c.flush(); err != nil {
+			return 0, nil, err
+		}
 		var nf *core.Fbuf
 		var err error
 		if c.nodes != nil {
@@ -99,21 +103,44 @@ func (c *Ctx) allocNode() (vm.VA, *core.Fbuf, error) {
 	return va, c.cur, nil
 }
 
-// writeNode encodes and stores one node, noting its fbuf in the Ctx's node
+// putNode reserves a node slot and returns its address and its 32 zeroed
+// bytes at the end of the pending run, for the caller to encode; a zeroed
+// node is the empty leaf. It notes the node's fbuf in the Ctx's node
 // list. The arena fills one fbuf before rotating to a fresh one and never
 // returns to it, so an fbuf not yet noted differs from the last one noted.
-func (c *Ctx) writeNode(enc []byte) (vm.VA, error) {
+func (c *Ctx) putNode() (vm.VA, []byte, error) {
 	va, f, err := c.allocNode()
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
-	if err := f.Write(c.Dom, int(va-f.Base), enc); err != nil {
-		return 0, err
+	if len(c.run) == 0 {
+		c.runOff = int(va - f.Base)
 	}
+	c.run = append(c.run, make([]byte, nodeSize)...)
 	if n := len(c.nodeBuf); n == 0 || c.nodeBuf[n-1] != f {
 		c.nodeBuf = append(c.nodeBuf, f)
 	}
-	return va, nil
+	return va, c.run[len(c.run)-nodeSize:], nil
+}
+
+// flush stores the pending run, the nodes encoded since the last store,
+// with one write to the current node fbuf. Node fbufs are one page and
+// the run's slots are consecutive, so the write translates the page once
+// where storing node by node translated it per node: the first
+// translation takes the TLB miss, fault and charge that the run's first
+// node took, and the others were hits, which charge nothing. For the same
+// reason a failed write failed at the run's first node, and the arena
+// keeps only that node's slot, as it did when it stored node by node.
+func (c *Ctx) flush() error {
+	if len(c.run) == 0 {
+		return nil
+	}
+	err := c.cur.Write(c.Dom, c.runOff, c.run)
+	if err != nil {
+		c.curOff = c.runOff + nodeSize
+	}
+	c.run = c.run[:0]
+	return err
 }
 
 // buildRoot writes a right-leaning leaf/pair chain describing segs and
@@ -121,23 +148,31 @@ func (c *Ctx) writeNode(enc []byte) (vm.VA, error) {
 // list is the Ctx's scratch, valid until the next node write.
 func (c *Ctx) buildRoot(segs []Seg) (vm.VA, []*core.Fbuf, error) {
 	c.nodeBuf = c.nodeBuf[:0]
-	var enc [nodeSize]byte
-	if len(segs) == 0 {
-		enc[0] = kindEmpty
-		root, err := c.writeNode(enc[:])
-		if err != nil {
-			return 0, nil, err
-		}
-		return root, c.nodeBuf, nil
+	root, err := c.chain(segs)
+	if err == nil {
+		err = c.flush()
 	}
-	// Leaves, then chain pairs right to left.
+	if err != nil {
+		return 0, nil, err
+	}
+	slices.SortFunc(c.nodeBuf, func(x, y *core.Fbuf) int { return cmp.Compare(x.Base, y.Base) })
+	return root, c.nodeBuf, nil
+}
+
+// chain encodes buildRoot's nodes: an empty leaf for no segments, else the
+// leaves, then the pairs right to left.
+func (c *Ctx) chain(segs []Seg) (vm.VA, error) {
+	if len(segs) == 0 {
+		root, _, err := c.putNode()
+		return root, err
+	}
 	leaves := c.leafBuf[:0]
 	for _, s := range segs {
-		encodeLeaf(enc[:], s.VA, s.N)
-		va, err := c.writeNode(enc[:])
+		va, enc, err := c.putNode()
 		if err != nil {
-			return 0, nil, err
+			return 0, err
 		}
+		encodeLeaf(enc, s.VA, s.N)
 		leaves = append(leaves, va)
 	}
 	c.leafBuf = leaves
@@ -145,24 +180,25 @@ func (c *Ctx) buildRoot(segs []Seg) (vm.VA, []*core.Fbuf, error) {
 	rest := segs[len(segs)-1].N
 	for i := len(leaves) - 2; i >= 0; i-- {
 		rest += segs[i].N
-		encodePair(enc[:], leaves[i], root, rest)
-		va, err := c.writeNode(enc[:])
+		va, enc, err := c.putNode()
 		if err != nil {
-			return 0, nil, err
+			return 0, err
 		}
+		encodePair(enc, leaves[i], root, rest)
 		root = va
 	}
-	slices.SortFunc(c.nodeBuf, func(x, y *core.Fbuf) int { return cmp.Compare(x.Base, y.Base) })
-	return root, c.nodeBuf, nil
+	return root, nil
 }
 
 // joinRoot writes the single pair node a Join needs, reusing both operand
 // DAGs as subtrees, and returns its address and fbuf.
 func (c *Ctx) joinRoot(left, right vm.VA, total int) (vm.VA, *core.Fbuf, error) {
 	c.nodeBuf = c.nodeBuf[:0]
-	var enc [nodeSize]byte
-	encodePair(enc[:], left, right, total)
-	root, err := c.writeNode(enc[:])
+	root, enc, err := c.putNode()
+	if err == nil {
+		encodePair(enc, left, right, total)
+		err = c.flush()
+	}
 	if err != nil {
 		return 0, nil, err
 	}

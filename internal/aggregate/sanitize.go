@@ -3,6 +3,7 @@ package aggregate
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"fbufs/internal/core"
 	"fbufs/internal/machine"
@@ -15,6 +16,16 @@ import (
 // cycle, and node-count rules. Validation reads node bytes straight from
 // physical frames, charging zero simulated time, so enabling fbsan never
 // perturbs the run it watches.
+
+// validate reports m to the sanitizer, when it is on, if m breaks the
+// aggregate invariants.
+func (c *Ctx) validate(m *Msg) {
+	if s := c.Mgr.Sanitizer(); s != nil {
+		if err := c.validateMsg(m); err != nil {
+			s.Violation("aggregate msg build: %v", err)
+		}
+	}
+}
 
 // validateMsg checks a freshly built message. Returned errors are
 // reported through the sanitizer's violation handler by the caller.
@@ -38,6 +49,11 @@ func (c *Ctx) validateMsg(m *Msg) error {
 	}
 	if total != m.length {
 		return fmt.Errorf("segment lengths sum to %d but message length is %d", total, m.length)
+	}
+	// Msg.cut relies on a built message listing its data fbufs in order of
+	// first use.
+	if data := appendData(nil, m.segs); m.ndata >= 0 && !slices.Equal(m.fbufs[:m.ndata], data) {
+		return fmt.Errorf("data fbufs %v, want the segments' %v", m.fbufs[:m.ndata], data)
 	}
 	if m.integrated {
 		v := &rawWalker{mgr: c.Mgr, onPath: map[vm.VA]bool{}}

@@ -43,8 +43,8 @@ func TestBulkSteadyStateAllocs(t *testing.T) {
 	}
 	per := float64(m1.Mallocs-m0.Mallocs) / window
 	t.Logf("%.2f allocations per message", per)
-	if per > 120 {
-		t.Errorf("%.1f allocations per message, want at most 120", per)
+	if per > 90 {
+		t.Errorf("%.1f allocations per message, want at most 90", per)
 	}
 	for _, h := range []*Host{e.A, e.B} {
 		if n := h.Driver.Spares(); n != 0 {
