@@ -1,19 +1,17 @@
 // Package analysis is fbufvet's compile-time invariant analyzer suite: a
 // self-contained static-analysis framework (modelled on the
 // golang.org/x/tools/go/analysis API, but built entirely on the standard
-// library so the repo stays dependency-free) plus the six analyzers that
+// library so the repo stays dependency-free) plus the five analyzers that
 // machine-check the fbuf protocol discipline the paper's safety argument
 // rests on:
 //
-//   - fbufcheck: immutability after Transfer, Secure-before-trust on
-//     volatile paths, and double-Free detection (sections 2.1.3, 3.2.4),
-//     function-local and batch-aware (FreeBatch/AllocBatch).
-//   - fbuflife: the interprocedural lifecycle typestate analysis — a
-//     per-function CFG dataflow engine plus bottom-up call-graph
-//     summaries (DESIGN.md §13) — catching leaks, use-after-transfer,
-//     and double frees that cross helper-function boundaries, batch
-//     element ownership, and goroutine handoffs without a transfer
-//     point.
+//   - fbuflife: the one ownership analyzer, an interprocedural lifecycle
+//     typestate analysis — a per-function CFG dataflow engine plus
+//     bottom-up call-graph summaries (DESIGN.md §13) — catching leaks,
+//     writes after Transfer or Secure, use after Free and double frees
+//     (sections 2.1.2, 3.2.1), a receiver's unsecured read of a volatile
+//     fbuf (3.2.4), batch element ownership, and goroutine handoffs
+//     without a transfer point, inside one body or through helpers.
 //   - errflow: errors from the core/aggregate/vm APIs encode protection
 //     faults and must never be silently discarded.
 //   - detlint: the simulator's determinism contract — no wall-clock time,
@@ -80,7 +78,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 
 // All returns the full fbufvet suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{FbufCheck, FbufLife, ErrFlow, DetLint, ObsHook, LockOrder}
+	return []*Analyzer{FbufLife, ErrFlow, DetLint, ObsHook, LockOrder}
 }
 
 // RunAnalyzers applies the analyzers to one type-checked package and

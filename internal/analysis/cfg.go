@@ -12,8 +12,8 @@ import (
 // then/else blocks; loops get head/body/post blocks with back edges —
 // so a forward dataflow analysis sees exactly the orderings that can
 // happen at run time, including early returns, break/continue/goto, and
-// loop re-entry. This is what replaces fbufcheck's syntactic
-// "may-precede" order (util.go) for the interprocedural analyzer.
+// loop re-entry, which a syntactic "may-precede" order over statements
+// (util.go) cannot see.
 
 // CFGBlock is one basic block.
 type CFGBlock struct {

@@ -45,7 +45,6 @@ var errflowMethods = []struct {
 	{"aggregate", "Ctx", "Pop"},
 	{"aggregate", "Msg", "Transfer"},
 	{"aggregate", "Msg", "Secure"},
-	{"aggregate", "Reader", "Next"},
 	{"xfer", "Adaptive", "Hop"},
 	{"vm", "AddrSpace", "AddRegion"},
 	{"vm", "AddrSpace", "Write"},

@@ -8,19 +8,19 @@ import (
 	"strings"
 )
 
-// FbufLife is the interprocedural lifecycle analyzer: a forward
-// may-analysis over the CFG (cfg.go) that tracks fbuf-typed values —
-// *core.Fbuf, []*core.Fbuf batches, *aggregate.Msg handles — through a
-// typestate automaton (typestate.go), using function summaries
-// (summary.go) to see through same-package helpers and the facility API.
-// It reports what the function-local, syntactic fbufcheck cannot:
-// interprocedural leaks (an fbuf that escapes a function with neither
-// Free/Transfer nor a stored reference), use-after-transfer and
-// double-free through helpers, element-wise batch ownership, and
-// ownership handoff into goroutines with no transfer point.
+// FbufLife is the ownership analyzer: a forward may-analysis over the
+// CFG (cfg.go) that tracks fbuf-typed values — *core.Fbuf, []*core.Fbuf
+// batches, *aggregate.Msg handles — through a typestate automaton
+// (typestate.go), using function summaries (summary.go) to see through
+// same-package helpers and the facility API. It reports leaks (an fbuf
+// that escapes a function with neither Free/Transfer nor a stored
+// reference), writes after Transfer or Secure, use after Free, double
+// frees, a receiver's read of a volatile fbuf it has not secured,
+// element-wise batch ownership, and ownership handoff into goroutines
+// with no transfer point — inside one body or through helpers.
 var FbufLife = &Analyzer{
 	Name: "fbuflife",
-	Doc:  "interprocedural fbuf lifecycle typestate check: leaks, use after transfer/free through helpers, batch element ownership, goroutine handoff",
+	Doc:  "fbuf lifecycle typestate check, through helpers: leaks, use after transfer/free, double free, unsecured volatile reads, batch element ownership, goroutine handoff",
 	Run:  runFbufLife,
 }
 
@@ -66,6 +66,10 @@ type valInfo struct {
 	constIdx   string    // for vkElem under a constant index: its key
 	discharged bool      // Free/Transfer/escape seen anywhere (global)
 	paramSlot  int       // summary mode: slot this value entered as (-2 none)
+	// origin is the originator's exprKey when the value was allocated on
+	// a statically volatile path ("" otherwise): its Transfer enters
+	// LSUnsecured, and reads by any other domain then need Secure.
+	origin string
 }
 
 // freeRec tracks Free sites for one (value, domain-key) pair.
@@ -224,6 +228,12 @@ type lifeEngine struct {
 	goLits     map[*ast.FuncLit]bool // funclits consumed by a go statement
 	paramSlots map[types.Object]int  // every param (fbuf or not) -> slot
 	body       *ast.BlockStmt        // the body under analysis (site ordering)
+
+	// Volatility of options and paths, by exprKey, as assignments in this
+	// body set them: options variables known volatile, and volatile paths
+	// mapped to their originator's key.
+	volOpts  map[string]bool
+	volPaths map[string]string
 }
 
 func newLifeEngine(pass *Pass, sums map[*types.Func]*funcSummary, report bool) *lifeEngine {
@@ -238,6 +248,8 @@ func newLifeEngine(pass *Pass, sums map[*types.Func]*funcSummary, report bool) *
 		reported:   map[string]bool{},
 		goLits:     map[*ast.FuncLit]bool{},
 		paramSlots: map[types.Object]int{},
+		volOpts:    map[string]bool{},
+		volPaths:   map[string]string{},
 	}
 }
 
@@ -478,6 +490,11 @@ func (e *lifeEngine) bindList(fact *lifeFact, lhs, rhs []ast.Expr) {
 	}
 	for i, l := range lhs {
 		l = ast.Unparen(l)
+		if len(rhs) == len(lhs) {
+			e.noteVolatility(l, rhs[i])
+		} else if i == 0 && len(rhs) == 1 {
+			e.noteVolatility(l, rhs[0]) // path, err := mgr.NewPath(...)
+		}
 		if id, ok := l.(*ast.Ident); ok {
 			if id.Name == "_" {
 				continue
@@ -917,6 +934,9 @@ func (e *lifeEngine) callResults(fact *lifeFact, call *ast.CallExpr, fn *types.F
 		sitePos := call.Pos() + token.Pos(i)
 		v := e.newVal(kind, sitePos, fk == fkOwned)
 		v.pos = call.Pos()
+		if i == 0 && fn != nil {
+			v.origin = e.volatileOrigin(call, fn)
+		}
 		fact.val[v.id] = &lifeVal{mask: LSAllocated}
 		out[i] = []int{v.id}
 	}
@@ -955,6 +975,14 @@ func (e *lifeEngine) applyEvent(fact *lifeFact, vals []int, ev LifeEvent,
 		v := e.vals[id]
 		st := state(fact, id)
 		next, viol := lifeNext(st.mask, ev)
+		if ev == EvTransfer && v.origin != "" && st.mask&(LSAllocated|LSWritten) != 0 {
+			// The originator keeps write permission on a volatile path, so
+			// the receiver holds the value unsecured (paper §3.2.4).
+			next |= LSUnsecured
+		}
+		if ev == EvRead && (domKey == "" || domKey == v.origin) {
+			viol = nil // the originator trusts its own writes; unknown readers pass
+		}
 		if ev == EvFree && st.mask&LSTransferred != 0 {
 			// After a Transfer this domain's Free drops only its own
 			// reference — the receiver still holds the buffer live (copy
@@ -1131,6 +1159,8 @@ func (e *lifeEngine) reportViolation(site token.Pos, viol *LifeViolation, ev Lif
 		msg = fmt.Sprintf("write to fbuf after Secure: protection was raised (rule %s, paper §%s)", viol.Rule, viol.Paper)
 	case "use-after-free":
 		msg = fmt.Sprintf("use of fbuf after Free (%s; rule %s, paper §%s)", ev, viol.Rule, viol.Paper)
+	case "unsecured-volatile-read":
+		msg = fmt.Sprintf("read of volatile fbuf by receiver without Secure: the originator still holds write permission; call Secure or branch on Secured() first (rule %s, paper §%s)", viol.Rule, viol.Paper)
 	default:
 		msg = fmt.Sprintf("fbuf lifecycle violation: %s on %s state (rule %s, paper §%s)", ev, viol.Name, viol.Rule, viol.Paper)
 	}
@@ -1286,4 +1316,83 @@ func (e *lifeEngine) applyDefer(fact *lifeFact, d *ast.DeferStmt) {
 	e.record = true
 	e.evalCallMulti(fact, d.Call)
 	e.record = false
+}
+
+// noteVolatility records what assigning rhs to lhs tells the read rule:
+// lhs now names volatile options, a volatile path, or neither.
+func (e *lifeEngine) noteVolatility(lhs, rhs ast.Expr) {
+	key := exprKey(e.info(), lhs)
+	if key == "" {
+		return
+	}
+	delete(e.volOpts, key)
+	delete(e.volPaths, key)
+	if e.optsVolatile(rhs) {
+		e.volOpts[key] = true
+	}
+	call, ok := ast.Unparen(rhs).(*ast.CallExpr)
+	if !ok {
+		return
+	}
+	fn := calleeFunc(e.info(), call)
+	if fn != nil && fn.Name() == "NewPath" && len(call.Args) >= 4 && !call.Ellipsis.IsValid() &&
+		(recvTypeIs(fn, "core", "Manager") || recvTypeIs(fn, "fbufs", "System")) &&
+		e.optsVolatile(call.Args[1]) {
+		if orig := exprKey(e.info(), call.Args[3]); orig != "" {
+			e.volPaths[key] = orig // the path's first domain originates
+		}
+	}
+}
+
+// optsVolatile reports whether an options expression is statically
+// volatile: a CachedVolatile or Uncached call (core's functions or the
+// fbufs facade's variables), an Options literal with Volatile: true, or a
+// variable this body set to one of those.
+func (e *lifeEngine) optsVolatile(x ast.Expr) bool {
+	switch x := ast.Unparen(x).(type) {
+	case *ast.CallExpr:
+		var name *ast.Ident
+		switch fun := ast.Unparen(x.Fun).(type) {
+		case *ast.Ident:
+			name = fun
+		case *ast.SelectorExpr:
+			name = fun.Sel
+		}
+		if name == nil || (name.Name != "CachedVolatile" && name.Name != "Uncached") {
+			return false
+		}
+		obj := e.info().Uses[name]
+		return obj != nil && obj.Pkg() != nil && (obj.Pkg().Name() == "core" || obj.Pkg().Name() == "fbufs")
+	case *ast.CompositeLit:
+		if !isNamedPtr(e.info().TypeOf(x), "core", "Options") {
+			return false
+		}
+		for _, el := range x.Elts {
+			kv, ok := el.(*ast.KeyValueExpr)
+			if !ok {
+				return false // positional: don't guess
+			}
+			if k, ok := kv.Key.(*ast.Ident); ok && k.Name == "Volatile" {
+				v, ok := ast.Unparen(kv.Value).(*ast.Ident)
+				return ok && v.Name == "true"
+			}
+		}
+		return false // Volatile omitted: the zero value is non-volatile
+	case *ast.Ident, *ast.SelectorExpr:
+		return e.volOpts[exprKey(e.info(), x)]
+	}
+	return false
+}
+
+// volatileOrigin returns the originator's key when call allocates an fbuf
+// on a statically volatile path, "" otherwise.
+func (e *lifeEngine) volatileOrigin(call *ast.CallExpr, fn *types.Func) string {
+	switch {
+	case fn.Name() == "Alloc" && recvTypeIs(fn, "core", "DataPath"):
+		return e.volPaths[exprKey(e.info(), receiverOf(call))]
+	case (fn.Name() == "AllocUncached" || fn.Name() == "AllocUncachedFill") &&
+		recvTypeIs(fn, "core", "Manager") && len(call.Args) >= 3 && e.optsVolatile(call.Args[2]):
+		return exprKey(e.info(), call.Args[0])
+	}
+	return ""
 }

@@ -14,8 +14,7 @@ import (
 //
 // The condition may bury the nil test in a conjunction (x != nil && y)
 // or, for the early exit, a disjunction (x == nil || x.M == nil).
-// fbufcheck reuses the machinery with an arbitrary condition predicate
-// (for Secured() acknowledgment checks).
+// obshook also walks conditions with condMentions for its own predicates.
 
 // condMentions walks the &&/||/! structure of cond and reports whether
 // any leaf satisfies pred.

@@ -30,7 +30,7 @@ func b() {}
 		t.Fatal("test source must have two decls")
 	}
 	diags := []Diagnostic{
-		{Pos: decls[0].Pos(), Category: "fbufcheck", Message: "write to fbuf after Transfer"},
+		{Pos: decls[0].Pos(), Category: "errflow", Message: "error from Manager.Transfer is implicitly discarded"},
 		{Pos: decls[1].Pos(), Category: "fbuflife", Message: "fbuf allocated here escapes the function with no Free, Transfer, or stored reference (leak; paper §3.2.1)"},
 	}
 

@@ -157,8 +157,12 @@ func builtinSummary(fn *types.Func) *funcSummary {
 		switch name {
 		case "Write", "TouchWrite", "DMAWrite":
 			return &funcSummary{effects: []sumEffect{{slot: -1, ev: EvWrite, domSlot: -1}}}
-		case "Read", "TouchRead", "DMARead", "Secured":
+		case "Read", "TouchRead":
+			return &funcSummary{effects: []sumEffect{{slot: -1, ev: EvRead, domSlot: 0}}}
+		case "DMARead":
 			return &funcSummary{effects: []sumEffect{{slot: -1, ev: EvRead, domSlot: -1}}}
+		case "Secured":
+			return &funcSummary{effects: []sumEffect{{slot: -1, ev: EvAck, domSlot: -1}}}
 		}
 	case recvTypeIs(fn, "aggregate", "Msg"):
 		switch name {

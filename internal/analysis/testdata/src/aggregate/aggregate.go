@@ -5,8 +5,5 @@ type Msg struct{}
 
 type Ctx struct{}
 
-type Reader struct{}
-
 func (c *Ctx) Join(a, b *Msg) (*Msg, error)          { return a, nil }
 func (c *Ctx) Push(m *Msg, hdr []byte) (*Msg, error) { return m, nil }
-func (r *Reader) Next(n int) ([]byte, error)         { return nil, nil }

@@ -1,8 +1,8 @@
-// Package a is the fbuflife corpus: every violation here crosses a
-// function boundary (or a goroutine), so the function-local fbufcheck
-// stays silent on this entire package — TestFbufLifeBeyondFbufcheck
-// asserts exactly that, making each want below a machine-checked example
-// of a bug only the interprocedural analysis can see.
+// Package a is the fbuflife corpus: positive cases carry a `// want` on
+// the offending line, and lines without one assert silence. This file's
+// violations cross a function boundary (or a goroutine); local.go and
+// batch.go apply the rules inside one body, and volatile.go holds the
+// receiver's unsecured read of a volatile fbuf.
 package a
 
 import "core"

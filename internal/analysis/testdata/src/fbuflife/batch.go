@@ -1,6 +1,7 @@
-// Batch-API corpus for fbufcheck (PR 4's AllocBatch/FreeBatch surface):
-// FreeBatch covers every element of its slice, AllocBatch resets them,
-// and concrete distinct elements never alias each other.
+// Batch-API cases in one body: FreeBatch covers every element of its
+// slice, AllocBatch resets them, and concrete distinct elements never
+// alias each other.
+
 package a
 
 import "core"
@@ -9,21 +10,21 @@ func doubleFreeBatch(mgr *core.Manager, p *core.DataPath, d *core.Domain) {
 	bufs := make([]*core.Fbuf, 2)
 	_, _ = p.AllocBatch(bufs)
 	_ = mgr.FreeBatch(bufs, d)
-	_ = mgr.FreeBatch(bufs, d) // want "double Free of fbuf by the same domain"
+	_ = mgr.FreeBatch(bufs, d) // want "fbuf freed twice in the same domain"
 }
 
 func freeBatchThenElement(mgr *core.Manager, p *core.DataPath, d *core.Domain) {
 	bufs := make([]*core.Fbuf, 2)
 	_, _ = p.AllocBatch(bufs)
 	_ = mgr.FreeBatch(bufs, d)
-	_ = mgr.Free(bufs[0], d) // want "double Free of fbuf by the same domain"
+	_ = mgr.Free(bufs[0], d) // want "fbuf freed twice in the same domain"
 }
 
 func elementThenFreeBatch(mgr *core.Manager, p *core.DataPath, d *core.Domain) {
 	bufs := make([]*core.Fbuf, 2)
 	_, _ = p.AllocBatch(bufs)
 	_ = mgr.Free(bufs[1], d)
-	_ = mgr.FreeBatch(bufs, d) // want "double Free of fbuf by the same domain"
+	_ = mgr.FreeBatch(bufs, d) // want "fbuf freed twice in the same domain"
 }
 
 func writeAfterTransferElement(mgr *core.Manager, p *core.DataPath, from, to *core.Domain) {
@@ -40,18 +41,11 @@ func writeOtherElementAfterTransfer(mgr *core.Manager, p *core.DataPath, from, t
 	_ = bufs[0].Write(from, 0, nil) // a different element: still the originator's
 }
 
-func distinctElementsFree(mgr *core.Manager, p *core.DataPath, d *core.Domain) {
-	bufs := make([]*core.Fbuf, 2)
-	_, _ = p.AllocBatch(bufs)
-	_ = mgr.Free(bufs[0], d)
-	_ = mgr.Free(bufs[1], d) // distinct concrete elements: two buffers, two frees
-}
-
 func sameIndexedElementFree(mgr *core.Manager, p *core.DataPath, d *core.Domain, i int) {
 	bufs := make([]*core.Fbuf, 2)
 	_, _ = p.AllocBatch(bufs)
 	_ = mgr.Free(bufs[i], d)
-	_ = mgr.Free(bufs[i], d) // want "double Free of fbuf by the same domain"
+	_ = mgr.Free(bufs[i], d) // want "fbuf freed twice in the same domain"
 }
 
 func allocBatchResets(mgr *core.Manager, p *core.DataPath, d *core.Domain) {

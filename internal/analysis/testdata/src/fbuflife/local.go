@@ -1,5 +1,6 @@
-// Package a is the fbufcheck corpus: positive cases carry a `// want`
-// on the offending line; lines without one assert silence.
+// Single-body cases: each rule applied inside one function, with no
+// helper in between.
+
 package a
 
 import "core"
@@ -21,9 +22,11 @@ func writeBeforeTransfer(mgr *core.Manager, f *core.Fbuf, from, to *core.Domain)
 	_ = mgr.Transfer(f, from, to)
 }
 
+// writeAfterRealloc writes a fresh buffer under the transferred one's
+// name, and then drops it.
 func writeAfterRealloc(mgr *core.Manager, p *core.DataPath, f *core.Fbuf, from, to *core.Domain) {
 	_ = mgr.Transfer(f, from, to)
-	f, _ = p.Alloc()          // a fresh buffer: the old one is out of scope
+	f, _ = p.Alloc()          // want "escapes the function with no Free, Transfer, or stored reference"
 	_ = f.Write(from, 0, nil) // no finding: f was reassigned
 }
 
@@ -35,17 +38,14 @@ func writeInOtherBranch(mgr *core.Manager, f *core.Fbuf, from, to *core.Domain, 
 	}
 }
 
-// knownFalsePositive documents the analyzer's deliberate imprecision:
-// the may-precede order treats an event inside a conditional as
-// preceding everything after it, so a transfer that dynamically may not
-// have happened still poisons a later write. Restructure such code (move
-// the write into the else arm, or reallocate) rather than suppressing.
-func knownFalsePositive(mgr *core.Manager, f *core.Fbuf, from, to *core.Domain, send bool) {
+// writeAfterReturningArm: the arm that transfers returns, and the CFG
+// knows the write below is never reached after the transfer.
+func writeAfterReturningArm(mgr *core.Manager, f *core.Fbuf, from, to *core.Domain, send bool) {
 	if send {
 		_ = mgr.Transfer(f, from, to)
-		return // dynamically the write below never follows the transfer...
+		return
 	}
-	_ = f.Write(from, 0, nil) // want "write to fbuf after Transfer"
+	_ = f.Write(from, 0, nil) // no finding: no path reaches here from the transfer
 }
 
 // --- Rule 2: volatile read without Secure --------------------------------
@@ -100,7 +100,7 @@ func volatileViaOptionsVar(mgr *core.Manager, prod, cons *core.Domain, buf []byt
 
 func doubleFree(mgr *core.Manager, f *core.Fbuf, d *core.Domain) {
 	_ = mgr.Free(f, d)
-	_ = mgr.Free(f, d) // want "double Free of fbuf by the same domain"
+	_ = mgr.Free(f, d) // want "fbuf freed twice in the same domain"
 }
 
 func freeByEachDomain(mgr *core.Manager, f *core.Fbuf, a, b *core.Domain) {

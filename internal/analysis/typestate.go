@@ -12,7 +12,10 @@ package analysis
 // Transfer uses copy semantics (paper §2.1.3): the sender keeps its
 // reference and must still Free it, so Transferred is a live state from
 // which Free and further Transfers (multicast) are legal — only writes
-// are revoked (§2.1.2 immutability).
+// are revoked (§2.1.2 immutability). A volatile path leaves write
+// permission with the originator (§3.2.4), so the engine adds Unsecured
+// beside Transferred when it transfers a value allocated on a statically
+// volatile path; Secure or a Secured() check clears it.
 
 // LifeState is one typestate of a tracked fbuf value. States are bits so
 // the may-analysis can hold a set per value and the tables below can
@@ -23,6 +26,7 @@ const (
 	LSAllocated   LifeState = 1 << iota // allocated, not yet written
 	LSWritten                           // originator data written
 	LSTransferred                       // sent to another domain; immutable
+	LSUnsecured                         // received on a volatile path, unsecured
 	LSSecured                           // protection raised by a receiver
 	LSFreed                             // reference dropped
 )
@@ -35,6 +39,8 @@ func (s LifeState) String() string {
 		return "written"
 	case LSTransferred:
 		return "transferred"
+	case LSUnsecured:
+		return "unsecured"
 	case LSSecured:
 		return "secured"
 	case LSFreed:
@@ -54,6 +60,7 @@ const (
 	EvSecure
 	EvFree
 	EvHandoff // value passed into a go statement
+	EvAck     // Secured() check: the holder acknowledges volatility
 )
 
 func (e LifeEvent) String() string {
@@ -72,6 +79,8 @@ func (e LifeEvent) String() string {
 		return "Free"
 	case EvHandoff:
 		return "goroutine handoff"
+	case EvAck:
+		return "Secured check"
 	}
 	return "?"
 }
@@ -104,14 +113,19 @@ var LifecycleTransitions = []LifeTransition{
 	{LSAllocated | LSWritten, EvTransfer, LSTransferred, "eager-secure-on-transfer", "2.1.3"},
 	// Copy semantics: the sender's reference stays live, so multicast
 	// re-transfer and transfer of a secured buffer are both legal.
+	// Unsecured has no Transfer edge: a re-transfer leaves it unsecured.
 	{LSTransferred | LSSecured, EvTransfer, LSTransferred, "transfer-requires-live", "2.1.3"},
-	{LSAllocated | LSWritten | LSTransferred | LSSecured, EvSecure, LSSecured, "secure-raises-protection", "3.2.4"},
+	{LSAllocated | LSWritten | LSTransferred | LSUnsecured | LSSecured, EvSecure, LSSecured, "secure-raises-protection", "3.2.4"},
+	// A Secured() check acknowledges volatility but raises no protection,
+	// so the value leaves Unsecured for plain Transferred, not Secured.
+	{LSUnsecured, EvAck, LSTransferred, "secure-volatile-before-read", "3.2.4"},
 	{LSAllocated | LSWritten | LSTransferred | LSSecured, EvFree, LSFreed, "free-requires-live", "3.2.1"},
-	// Reads never change state; they are legal from every live state and,
-	// deliberately, from Freed too: cached mappings persist after Free
-	// (that's the point of caching), so a read-after-free is a data
-	// staleness hazard the dynamic sanitizer owns, not a protection fault
-	// the static checker can call a bug.
+	// Reads never change state; they are legal from every live state but
+	// Unsecured (for a reader other than the originator) and, deliberately,
+	// from Freed too: cached mappings persist after Free (that's the point
+	// of caching), so a read-after-free is a data staleness hazard the
+	// dynamic sanitizer owns, not a protection fault the static checker
+	// can call a bug.
 	{^LifeState(0), EvRead, 0, "", ""},
 }
 
@@ -125,6 +139,9 @@ var LifecycleViolations = []LifeViolation{
 	{LSFreed, EvTransfer, "use-after-free", "transfer-requires-live", "2.1.3"},
 	{LSFreed, EvSecure, "use-after-free", "secure-raises-protection", "3.2.4"},
 	{LSFreed, EvFree, "double-free", "no-double-free", "3.2.1"},
+	// A receiver's read while the originator may still write: the engine
+	// excuses the originator's own reads and reads by an unknown domain.
+	{LSUnsecured, EvRead, "unsecured-volatile-read", "secure-volatile-before-read", "3.2.4"},
 	// Handing an fbuf the current domain still owns straight into a
 	// goroutine is an undocumented ownership handoff: the receiver has no
 	// transfer point to synchronize on (§2.1.3's explicit transfer

@@ -15,6 +15,37 @@ func isTestFile(fset *token.FileSet, pos token.Pos) bool {
 	return strings.HasSuffix(fset.Position(pos).Filename, "_test.go")
 }
 
+// functionBodies yields every function body in the file — declarations and
+// literals — each analyzed as its own scope.
+func functionBodies(file *ast.File) map[*ast.BlockStmt]bool {
+	out := map[*ast.BlockStmt]bool{}
+	ast.Inspect(file, func(n ast.Node) bool {
+		switch fn := n.(type) {
+		case *ast.FuncDecl:
+			if fn.Body != nil {
+				out[fn.Body] = true
+			}
+		case *ast.FuncLit:
+			if fn.Body != nil {
+				out[fn.Body] = true
+			}
+		}
+		return true
+	})
+	return out
+}
+
+// inspectShallow walks body without descending into nested function
+// literals (they are separate scopes).
+func inspectShallow(body *ast.BlockStmt, fn func(ast.Node) bool) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		if lit, ok := n.(*ast.FuncLit); ok && lit.Body != body {
+			return false
+		}
+		return fn(n)
+	})
+}
+
 // calleeFunc resolves the called function or method of call, or nil for
 // indirect calls through function values.
 func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
@@ -138,35 +169,6 @@ func exprKey(info *types.Info, e ast.Expr) string {
 	return ""
 }
 
-// batchAll marks a key as covering every element of a batch (FreeBatch,
-// AllocBatch): base key plus this suffix.
-const batchAll = "[*]"
-
-// keyBase strips an index suffix: "bufs[0]" -> "bufs".
-func keyBase(k string) string {
-	if i := strings.IndexByte(k, '['); i >= 0 {
-		return k[:i]
-	}
-	return k
-}
-
-// keysOverlap reports whether two fbuf keys may name the same buffer:
-// identical keys always do; keys over one batch variable do unless both
-// name distinct concrete elements (bufs[0] vs bufs[1] are different
-// buffers, but bufs[*] — or the bare slice variable — covers them all).
-func keysOverlap(a, b string) bool {
-	if a == b {
-		return a != ""
-	}
-	if a == "" || b == "" || keyBase(a) != keyBase(b) {
-		return false
-	}
-	aIdx := strings.IndexByte(a, '[') >= 0 && !strings.HasSuffix(a, batchAll)
-	bIdx := strings.IndexByte(b, '[') >= 0 && !strings.HasSuffix(b, batchAll)
-	// Same base: overlap unless both are concrete, distinct elements.
-	return !(aIdx && bIdx)
-}
-
 func objKey(obj types.Object) string {
 	// Declaration position is a stable identity even for objects with no
 	// parent scope (struct fields reached through embedding).
@@ -199,12 +201,12 @@ func posString(p token.Pos) string {
 
 // --- Sequential-order reasoning -------------------------------------------
 //
-// The protocol analyzers are function-local and syntactic: event A "may
-// precede" event B when A's enclosing statement, in the deepest block that
-// contains both, comes strictly before B's. Events in sibling arms of the
-// same if/switch share that top-level statement and are treated as
-// mutually exclusive (never ordered), which removes the classic
-// if/else-arm false positive.
+// A syntactic order for checks that need no CFG (fbuflife's Free-site
+// order, obshook's early-exit guards): event A "may precede" event B when
+// A's enclosing statement, in the deepest block that contains both, comes
+// strictly before B's. Events in sibling arms of the same if/switch share
+// that top-level statement and are treated as mutually exclusive (never
+// ordered), which removes the classic if/else-arm false positive.
 
 // stmtPath records, outermost first, the statement chain enclosing a node.
 type stmtPath []ast.Stmt

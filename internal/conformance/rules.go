@@ -18,9 +18,9 @@ type LifecycleRule struct {
 	Desc string
 	// StaticExclusion, when non-empty, documents why the fbuflife
 	// typestate automaton does not encode this rule — it names the
-	// mechanism that owns it instead (the differential model, the chaos
-	// sanitizer, or a different analyzer). Empty means the rule must be
-	// present in analysis.StaticLifecycleRules().
+	// mechanism that owns it instead (the differential model or the chaos
+	// sanitizer). Empty means the rule must be present in
+	// analysis.StaticLifecycleRules().
 	StaticExclusion string
 }
 
@@ -75,14 +75,13 @@ func LifecycleRules() []LifecycleRule {
 			Paper: "3.2.1",
 			Desc:  "one reference, one Free: a domain must not drop the same reference twice",
 		},
+		{
+			Name:  "secure-volatile-before-read",
+			Paper: "3.2.4",
+			Desc:  "a receiver on a volatile path must Secure before trusting the data it reads",
+		},
 
 		// --- dynamic-only: the model (or another mechanism) owns these.
-		{
-			Name:            "secure-volatile-before-read",
-			Paper:           "2.1.2",
-			Desc:            "a receiver on a volatile path must Secure before trusting the data it reads",
-			StaticExclusion: "enforced by the function-local fbufcheck analyzer (its rule 2); fbuflife deliberately does not duplicate it",
-		},
 		{
 			Name:            "lifo-reuse",
 			Paper:           "3.2.1",

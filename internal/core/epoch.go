@@ -113,13 +113,6 @@ func (m *Manager) EpochPending() int {
 	return len(m.epoch.parked)
 }
 
-// EpochWorkers returns how many workers are registered.
-func (m *Manager) EpochWorkers() int {
-	m.epoch.mu.Lock()
-	defer m.epoch.mu.Unlock()
-	return len(m.epoch.workers)
-}
-
 // deferFrameFree drops one fbuf ownership reference on a frame. With no
 // epoch workers registered it releases the frame immediately (the eager
 // pre-depot behavior, bit-identical); otherwise the frame parks until

@@ -156,9 +156,6 @@ func (p *DataPath) Quota() int {
 // traffic starts (grants made earlier are never charged).
 func (p *DataPath) SetTenant(t *TenantClass) { p.tenant = t }
 
-// Tenant returns the path's admission class (nil when unassigned).
-func (p *DataPath) Tenant() *TenantClass { return p.tenant }
-
 // SetPinned marks or unmarks the path as exempt from path-cache eviction
 // under the pinned-aware policy.
 func (p *DataPath) SetPinned(v bool) { p.pinned.Store(v) }

@@ -289,9 +289,6 @@ type LinkStats struct {
 	PartitionDrops uint64
 }
 
-// Action returns the count for one verdict.
-func (s LinkStats) Action(a LinkAction) uint64 { return s.Actions[a] }
-
 // LinkSnapshot returns per-link counters sorted by link id (deterministic
 // despite the map). Safe on a nil plane.
 func (p *Plane) LinkSnapshot() []LinkStats {

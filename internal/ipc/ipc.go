@@ -135,9 +135,6 @@ func (r *Router) EnableRings(now func() simtime.Time) {
 	}
 }
 
-// RingsEnabled reports whether EnableRings has run.
-func (r *Router) RingsEnabled() bool { return r.ringNow != nil }
-
 // SetNoticeHooks registers the deallocation-notice source and sink used by
 // the ring path's coalesced completion entries.
 func (r *Router) SetNoticeHooks(src NoticeSource, sink NoticeSink) {

@@ -244,9 +244,6 @@ func (r *Resource) ExecAt(t Time, d Duration, done func()) Time {
 	return end
 }
 
-// FreeAt returns the time at which the resource next becomes idle.
-func (r *Resource) FreeAt() Time { return r.freeAt }
-
 // ResetStats restarts utilization accounting from the current virtual time.
 func (r *Resource) ResetStats() {
 	r.busy = 0
