@@ -9,6 +9,14 @@ func TestFbufLife(t *testing.T) {
 	RunTest(t, "testdata/src", FbufLife, "fbuflife")
 }
 
+// TestFbufCheck runs fbuflife over the single-body corpus in
+// testdata/src/fbufcheck: each rule applied inside one function, with no
+// helper in between, the cases the function-local fbufcheck analyzer
+// checked before fbuflife took its rules over.
+func TestFbufCheck(t *testing.T) {
+	RunTest(t, "testdata/src", FbufLife, "fbufcheck")
+}
+
 // TestDiagnosticDedupe pins the RunAnalyzers output contract fbufvet's
 // text and SARIF output rely on: diagnostics arrive position-sorted, the
 // order is independent of analyzer registration order, and two analyzers

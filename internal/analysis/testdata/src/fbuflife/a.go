@@ -1,8 +1,8 @@
 // Package a is the fbuflife corpus: positive cases carry a `// want` on
 // the offending line, and lines without one assert silence. This file's
-// violations cross a function boundary (or a goroutine); local.go and
-// batch.go apply the rules inside one body, and volatile.go holds the
-// receiver's unsecured read of a volatile fbuf.
+// violations cross a function boundary (or a goroutine), and volatile.go
+// holds the receiver's unsecured read of a volatile fbuf. The cases that
+// apply each rule inside one body are in the fbufcheck corpus.
 package a
 
 import "core"
