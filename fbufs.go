@@ -88,8 +88,9 @@ type System struct {
 	Env     *xkernel.Env
 }
 
-// New creates a host with the given number of physical page frames,
-// using the calibrated DecStation 5000/200 cost profile.
+// New creates a host with a physical memory of up to frames page frames,
+// using the calibrated DecStation 5000/200 cost profile. The count is a
+// capacity: only the frames the host allocates cost Go memory.
 func New(frames int) *System {
 	clk := &simtime.Clock{}
 	sys := vm.NewSystem(machine.DecStation5000(), frames, vm.ClockSink{Clock: clk})

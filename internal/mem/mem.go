@@ -40,51 +40,62 @@ type Frame struct {
 // ErrOutOfMemory is returned when the frame pool is exhausted.
 var ErrOutOfMemory = errors.New("mem: out of physical memory")
 
-// PhysMem is a fixed-size pool of page frames.
+// chunkFrames is how many Frame entries the table allocates at a time, the
+// first time the bump index reaches them.
+const chunkFrames = 512
+
+// PhysMem is a fixed-size pool of page frames. The size is a capacity: the
+// pool costs in proportion to the frames it has handed out, not to its size.
 //
-// Concurrency contract: the pool bookkeeping (free list, refcounts, the
-// allocated count) is guarded by an internal mutex, so Alloc/AddRef/DecRef
-// may be called from concurrent workers. Frame *contents* (Data, Zeroed)
-// are caller-synchronized: a frame's bytes are owned by whoever holds a
-// mapping to it, exactly as on real hardware, and the simulator's upper
-// layers serialize access per fbuf.
+// Concurrency contract: the pool bookkeeping (free stack, bump index, chunk
+// creation, refcounts, the allocated count) is guarded by an internal
+// mutex, so Alloc/AddRef/DecRef may be called from concurrent workers.
+// Frame reads neither the mutex nor the bump index: a chunk, once created,
+// never moves, and a caller holds a frame number only after Alloc returned
+// it. Frame *contents* (Data, Zeroed) are caller-synchronized: a frame's
+// bytes are owned by whoever holds a mapping to it, exactly as on real
+// hardware, and the simulator's upper layers serialize access per fbuf.
 type PhysMem struct {
-	mu     sync.Mutex
-	frames []Frame
-	// free is a LIFO stack of free frame numbers. LIFO maximizes the
-	// chance a re-allocated frame is still cache- and zero-state-warm,
-	// mirroring the paper's LIFO fbuf free lists.
+	mu sync.Mutex
+	n  int
+	// chunks holds the Frame entries, chunkFrames to a chunk (the last one
+	// shorter when n is not a multiple); a chunk is nil until the bump
+	// index first reaches it.
+	chunks [][]Frame
+	// next is the bump index: frames next..n-1 have never been allocated
+	// and count as free.
+	next FrameNum
+	// free is a LIFO stack of freed frame numbers, all below next. Alloc
+	// pops it before taking the bump frame, so frame 0 goes first and then
+	// the most recently freed. LIFO maximizes the chance a re-allocated
+	// frame is still cache- and zero-state-warm, mirroring the paper's LIFO
+	// fbuf free lists.
 	free []FrameNum
 
 	allocated int
 }
 
-// New creates a physical memory of nframes page frames.
+// New creates a physical memory of nframes page frames. Frame entries are
+// allocated in chunks as the pool hands frames out, and each frame's storage
+// on its first allocation. Frames start dirty: a machine that has been
+// running holds stale data in free frames, so security clears are genuinely
+// needed — experiments must not dodge clearing costs by drawing from
+// never-used memory.
 func New(nframes int) *PhysMem {
-	pm := &PhysMem{
-		frames: make([]Frame, nframes),
-		free:   make([]FrameNum, 0, nframes),
+	if nframes < 0 {
+		panic(fmt.Sprintf("mem: negative pool size %d", nframes))
 	}
-	// Push in reverse so frame 0 is allocated first; storage is allocated
-	// lazily on first allocation of each frame. Frames start dirty: a
-	// machine that has been running holds stale data in free frames, so
-	// security clears are genuinely needed — experiments must not dodge
-	// clearing costs by drawing from never-used memory.
-	for i := nframes - 1; i >= 0; i-- {
-		pm.frames[i].free = true
-		pm.free = append(pm.free, FrameNum(i))
-	}
-	return pm
+	return &PhysMem{n: nframes, chunks: make([][]Frame, (nframes+chunkFrames-1)/chunkFrames)}
 }
 
 // NumFrames returns the pool size.
-func (pm *PhysMem) NumFrames() int { return len(pm.frames) }
+func (pm *PhysMem) NumFrames() int { return pm.n }
 
 // FreeFrames returns the number of currently free frames.
 func (pm *PhysMem) FreeFrames() int {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	return len(pm.free)
+	return len(pm.free) + pm.n - int(pm.next)
 }
 
 // Allocated returns the number of frames currently in use.
@@ -101,12 +112,21 @@ func (pm *PhysMem) Allocated() int {
 func (pm *PhysMem) Alloc() (FrameNum, error) {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	if len(pm.free) == 0 {
+	var fn FrameNum
+	switch {
+	case len(pm.free) > 0:
+		fn = pm.free[len(pm.free)-1]
+		pm.free = pm.free[:len(pm.free)-1]
+	case int(pm.next) < pm.n:
+		fn = pm.next
+		pm.next++
+		if c := fn / chunkFrames; pm.chunks[c] == nil {
+			pm.chunks[c] = make([]Frame, min(chunkFrames, pm.n-int(c)*chunkFrames))
+		}
+	default:
 		return NoFrame, ErrOutOfMemory
 	}
-	fn := pm.free[len(pm.free)-1]
-	pm.free = pm.free[:len(pm.free)-1]
-	f := &pm.frames[fn]
+	f := pm.Frame(fn)
 	if f.Data == nil {
 		f.Data = make([]byte, machine.PageSize)
 	}
@@ -117,13 +137,28 @@ func (pm *PhysMem) Alloc() (FrameNum, error) {
 }
 
 // Frame returns the frame structure for fn. It panics on an invalid frame
-// number; callers hold frame numbers only through the VM layer, so an
-// invalid number is a simulator bug, not a simulated-program error.
+// number or one whose chunk the pool has not reached; callers hold frame
+// numbers only through the VM layer, so such a number is a simulator bug,
+// not a simulated-program error.
 func (pm *PhysMem) Frame(fn FrameNum) *Frame {
-	if fn < 0 || int(fn) >= len(pm.frames) {
+	if fn < 0 || int(fn) >= pm.n {
 		panic(fmt.Sprintf("mem: invalid frame %d", fn))
 	}
-	return &pm.frames[fn]
+	c := pm.chunks[fn/chunkFrames]
+	if c == nil {
+		panic(fmt.Sprintf("mem: frame %d never allocated", fn))
+	}
+	return &c[fn%chunkFrames]
+}
+
+// isFree reports whether fn is free, counting a frame the bump index has
+// not reached as free. It panics on an invalid frame number. The caller
+// holds pm.mu.
+func (pm *PhysMem) isFree(fn FrameNum) bool {
+	if fn >= pm.next && int(fn) < pm.n {
+		return true
+	}
+	return pm.Frame(fn).free
 }
 
 // RefCount returns the frame's current mapping reference count under the
@@ -131,6 +166,9 @@ func (pm *PhysMem) Frame(fn FrameNum) *Frame {
 func (pm *PhysMem) RefCount(fn FrameNum) int {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
+	if pm.isFree(fn) {
+		return 0
+	}
 	return pm.Frame(fn).RefCount
 }
 
@@ -138,11 +176,10 @@ func (pm *PhysMem) RefCount(fn FrameNum) int {
 func (pm *PhysMem) AddRef(fn FrameNum) {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	f := pm.Frame(fn)
-	if f.free {
+	if pm.isFree(fn) {
 		panic(fmt.Sprintf("mem: AddRef on free frame %d", fn))
 	}
-	f.RefCount++
+	pm.Frame(fn).RefCount++
 }
 
 // DecRef decrements a frame's reference count, returning it to the free
@@ -150,10 +187,10 @@ func (pm *PhysMem) AddRef(fn FrameNum) {
 func (pm *PhysMem) DecRef(fn FrameNum) bool {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	f := pm.Frame(fn)
-	if f.free {
+	if pm.isFree(fn) {
 		panic(fmt.Sprintf("mem: DecRef on free frame %d", fn))
 	}
+	f := pm.Frame(fn)
 	if f.RefCount <= 0 {
 		panic(fmt.Sprintf("mem: refcount underflow on frame %d", fn))
 	}
@@ -208,24 +245,27 @@ func (pm *PhysMem) Read(fn FrameNum, offset int, buf []byte) {
 	copy(buf, f.Data[offset:])
 }
 
-// CheckInvariants validates internal consistency: every frame is either on
-// the free list with refcount 0, or allocated with refcount > 0, and the
-// free list has no duplicates. Tests call this after operation sequences,
-// at quiescence (no concurrent pool mutation).
+// CheckInvariants validates internal consistency: every frame the bump
+// index has passed is either on the free list with refcount 0, or allocated
+// with refcount > 0, and the free list holds only such frames, with no
+// duplicates. Tests call this after operation sequences, at quiescence (no
+// concurrent pool mutation).
 func (pm *PhysMem) CheckInvariants() error {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	onFree := make(map[FrameNum]bool, len(pm.free))
+	onFree := make([]bool, pm.next)
 	for _, fn := range pm.free {
+		if fn < 0 || fn >= pm.next {
+			return fmt.Errorf("mem: free list holds frame %d, bump index %d", fn, pm.next)
+		}
 		if onFree[fn] {
 			return fmt.Errorf("mem: frame %d appears twice on free list", fn)
 		}
 		onFree[fn] = true
 	}
 	allocated := 0
-	for i := range pm.frames {
-		fn := FrameNum(i)
-		f := &pm.frames[i]
+	for fn := FrameNum(0); fn < pm.next; fn++ {
+		f := pm.Frame(fn)
 		switch {
 		case f.free && !onFree[fn]:
 			return fmt.Errorf("mem: free frame %d missing from free list", fn)

@@ -7,6 +7,14 @@ import (
 	"fbufs/internal/protocols"
 )
 
+// bulkConfig is Figure 5's 1 MB user-user point, perfbench's bulk workload
+// at seed 1.
+func bulkConfig(count int) Config {
+	return Config{Placement: UserUser, Opts: cachedVolatile(),
+		PDUBytes: 16*1024 + protocols.UDPHeaderBytes, MsgBytes: 1 << 20,
+		Count: count, Window: 8}
+}
+
 // TestBulkSteadyStateAllocs runs Figure 5's 1 MB user-user point and counts
 // the Go heap allocations per delivered message over a fixed window after
 // warm-up. A warm PDU allocates nothing in osiris, netsim or the
@@ -16,9 +24,7 @@ import (
 // drivers hold no spare wire buffers.
 func TestBulkSteadyStateAllocs(t *testing.T) {
 	const warm, window = 16, 64
-	e, err := NewE2E(Config{Placement: UserUser, Opts: cachedVolatile(),
-		PDUBytes: 16*1024 + protocols.UDPHeaderBytes, MsgBytes: 1 << 20,
-		Count: warm + window, Window: 8})
+	e, err := NewE2E(bulkConfig(warm + window))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,6 +55,39 @@ func TestBulkSteadyStateAllocs(t *testing.T) {
 	for _, h := range []*Host{e.A, e.B} {
 		if n := h.Driver.Spares(); n != 0 {
 			t.Errorf("host %s: driver holds %d spare wire buffers after Run, want 0", h.Name, n)
+		}
+	}
+}
+
+// TestNewE2EHeap bounds the Go heap that building the bulk rig allocates.
+// Each host's physical memory holds up to 32,768 frames, but its frame
+// table grows with use, so the build allocates about 42 KB for the rig's
+// own structures and nothing in proportion to the pool's size.
+func TestNewE2EHeap(t *testing.T) {
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	e, err := NewE2E(bulkConfig(2))
+	runtime.ReadMemStats(&m1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.A.Mgr.SanitizerEnabled() {
+		t.Skip("fbsan allocates by design")
+	}
+	got := m1.TotalAlloc - m0.TotalAlloc
+	t.Logf("building the bulk rig allocated %d B", got)
+	if got > 256<<10 {
+		t.Errorf("building the bulk rig allocated %d B, want at most %d", got, 256<<10)
+	}
+}
+
+// BenchmarkNewE2E builds the bulk rig: two hosts with their domains, paths
+// and protocol stacks.
+func BenchmarkNewE2E(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewE2E(bulkConfig(2)); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

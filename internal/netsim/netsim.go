@@ -95,7 +95,9 @@ type Config struct {
 	// DropEvery, when positive, makes the link corrupt (drop) every Nth
 	// transmitted PDU. Requires UseSWP for reliable delivery.
 	DropEvery int
-	// Frames sizes each host's physical memory (0: 32768 frames=128MB).
+	// Frames is each host's physical memory capacity in page frames
+	// (0: 32768 frames, 128 MB). Only the frames a run allocates cost Go
+	// memory.
 	Frames int
 	// Faults, when non-nil, is shared by both hosts (each host's
 	// vm.System.FaultPlane) and drives per-link loss/corruption/

@@ -269,7 +269,9 @@ type System struct {
 	MapRetries uint64
 }
 
-// NewSystem creates a VM system with the given frame pool size.
+// NewSystem creates a VM system whose frame pool holds up to frames page
+// frames. The count is a capacity: the pool's Go memory grows with the
+// frames allocated, not with its size.
 func NewSystem(cost *machine.CostTable, frames int, sink CostSink) *System {
 	return &System{
 		Cost: cost,
