@@ -10,9 +10,9 @@
 //
 // Output is plain text: one aligned table per paper table, one
 // column-per-series table per paper figure. EXPERIMENTS.md records the
-// paper-vs-measured comparison for every entry. -trace and -metrics export
-// the observability layer's Chrome trace-event JSON and metrics snapshot
-// for the benchmark run.
+// paper-vs-measured comparison for every entry. -trace exports the
+// observability layer's Chrome trace-event JSON for the benchmark run, and
+// -metrics the counters and gauges of its last single-host rig.
 //
 // -json additionally writes the machine-readable BENCH_report.json: the
 // headline simulated metrics of every experiment (paper figures, smp,
@@ -124,8 +124,7 @@ func exportObserved(o *obs.Observer, tracePath, metricsPath string) error {
 		}
 	}
 	if metricsPath != "" {
-		bench.PublishObserved()
-		return createFile(metricsPath, o.Metrics.Snapshot().WriteJSON)
+		return createFile(metricsPath, bench.ObservedMetrics().WriteJSON)
 	}
 	return nil
 }

@@ -14,10 +14,10 @@
 // events indented beneath it; the steady-state hop costs only the TLB
 // misses of actually touching the data. -trace writes the full event
 // stream as Chrome trace-event JSON (open at ui.perfetto.dev), -metrics a
-// JSON snapshot of every counter, gauge, and latency histogram. -profile
-// attaches the span layer and prints the per-stage latency attribution of
-// the run's transfers; -flightrec keeps a bounded flight recorder attached
-// and writes a Perfetto dump to the given path if an anomaly (allocation
+// JSON snapshot of every counter and gauge. -profile attaches the span
+// layer and prints the per-stage latency attribution of the run's
+// transfers; -flightrec keeps a bounded flight recorder attached and
+// writes a Perfetto dump to the given path if an anomaly (allocation
 // failure, copy fallback, fault verdict) trips it.
 //
 // -stack instead sends a warm-up and then one measured message through the
@@ -282,12 +282,11 @@ func export(sys *fbufs.System, o *obs.Observer, cfg config) error {
 		}
 	}
 	if cfg.metricsPath != "" {
-		sys.PublishMetrics(o)
 		f, err := os.Create(cfg.metricsPath)
 		if err != nil {
 			return err
 		}
-		if err := o.Metrics.Snapshot().WriteJSON(f); err != nil {
+		if err := sys.PublishMetrics(o).WriteJSON(f); err != nil {
 			f.Close()
 			return err
 		}

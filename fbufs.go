@@ -57,7 +57,7 @@ type (
 	Time = simtime.Time
 	// Duration is a span of simulated time.
 	Duration = simtime.Duration
-	// Observer is the unified tracing + metrics handle (package obs).
+	// Observer is the tracing handle for events and spans (package obs).
 	Observer = obs.Observer
 	// Stats is the fbuf facility's counter snapshot.
 	Stats = core.Stats
@@ -104,9 +104,9 @@ func New(frames int) *System {
 // Now returns the current simulated time.
 func (s *System) Now() Time { return s.Clock.Now() }
 
-// Observe attaches a fresh observer (event ring of eventCap entries plus a
-// metrics registry) to the host and returns it. Existing domains and paths
-// are labelled in the trace; layers emit through it from then on.
+// Observe attaches a fresh observer (an event ring of eventCap entries) to
+// the host and returns it. Existing domains and paths are labelled in the
+// trace; layers emit through it from then on.
 func (s *System) Observe(eventCap int) *Observer {
 	o := obs.New(eventCap)
 	o.SetNow(s.Clock.Now)
@@ -115,17 +115,16 @@ func (s *System) Observe(eventCap int) *Observer {
 	return o
 }
 
-// PublishMetrics writes the host's counters (fbuf facility, VM, TLB) into
-// the observer's registry, ready for a JSON snapshot export. The observer's
-// own ring statistics ride along, so an export that silently lost events to
+// PublishMetrics returns a snapshot of the host's counters and gauges
+// (fbuf facility, VM, TLB), ready for a JSON export. The observer's own
+// ring statistics ride along, so an export that silently lost events to
 // wraparound says so in its metrics.
-func (s *System) PublishMetrics(o *Observer) {
-	if o == nil {
-		return
-	}
-	s.Fbufs.PublishMetrics(o.Metrics)
-	s.VM.PublishMetrics(o.Metrics)
-	o.PublishSelfMetrics()
+func (s *System) PublishMetrics(o *Observer) obs.Snapshot {
+	snap := obs.NewSnapshot()
+	s.Fbufs.PublishMetrics(snap)
+	s.VM.PublishMetrics(snap)
+	o.PublishSelfMetrics(snap)
+	return snap
 }
 
 // Kernel returns the trusted kernel domain.

@@ -10,8 +10,8 @@ import (
 //
 //	DataPath.mu → Manager.regionMu → chunk.mu → Fbuf.mu → Sanitizer.mu
 //	→ AddrSpace.mu, System.mu → Depot.mu → leaf locks (PhysMem.mu,
-//	Plane.mu, Manager.noticeMu, Manager.cacheMu, Tracer.mu, Registry.mu,
-//	depotShard.mu, epochState.mu)
+//	Plane.mu, Manager.noticeMu, Manager.cacheMu, Tracer.mu, depotShard.mu,
+//	epochState.mu)
 //
 // Depot.mu ranks just below the leaves because a depot assembling or
 // spilling a unit takes shard locks while holding it; the shards and the
@@ -69,7 +69,6 @@ var lockRank = map[string]int{
 	"Manager.noticeMu": 70,
 	"Manager.cacheMu":  70,
 	"Tracer.mu":        70,
-	"Registry.mu":      70,
 	// rings.Pair.mu guards only the ring indexes and slot arrays; entries
 	// are popped under it and processed outside it, so nothing is ever
 	// acquired while it is held.

@@ -7,8 +7,8 @@ import (
 )
 
 // ObsHook enforces the observability discipline PR 1 established for hot
-// paths: every obs.Observer hot-path call (Emit, Observe, Now) must sit
-// behind the single nil-check pattern —
+// paths: every obs.Observer hot-path call (Emit, Now) must sit behind the
+// single nil-check pattern —
 //
 //	if m.obs != nil { m.obs.Emit(...) }        // enclosing guard
 //	if o == nil { return }; o.Emit(...)        // early-exit guard
@@ -36,7 +36,7 @@ var ObsHook = &Analyzer{
 // nil-safe trace-lifecycle wrappers (BeginTrace, EndTrace, ResumeTrace,
 // SpanRecord, …) are deliberately callable unguarded.
 var obsHotMethods = map[string]bool{
-	"Emit": true, "Observe": true, "Now": true,
+	"Emit": true, "Now": true,
 	"SpanBegin": true, "SpanEnd": true,
 }
 

@@ -7,10 +7,9 @@ type Observer struct{}
 // assigned from it.
 func New(eventCap int) *Observer { return &Observer{} }
 
-func (o *Observer) Emit(kind string)               {}
-func (o *Observer) Observe(name string, v float64) {}
-func (o *Observer) Now() int64                     { return 0 }
-func (o *Observer) SetNow(now func() int64)        {}
+func (o *Observer) Emit(kind string)        {}
+func (o *Observer) Now() int64              { return 0 }
+func (o *Observer) SetNow(now func() int64) {}
 
 func (o *Observer) SpanBegin(stage, layer string, actor int, arg int64) {}
 func (o *Observer) SpanEnd()                                            {}

@@ -21,10 +21,6 @@ func unguardedNow(o *obs.Observer) int64 {
 	return o.Now() // want "unguarded obs.Observer.Now"
 }
 
-func (e *engine) unguardedObserve(v float64) {
-	e.obs.Observe("latency", v) // want "unguarded obs.Observer.Observe"
-}
-
 func observerFactory() *obs.Observer { return nil }
 
 func nonAddressableReceiver() {
@@ -51,7 +47,6 @@ func guardedEarlyExit(o *obs.Observer) {
 		return
 	}
 	o.Emit("transfer")
-	o.Observe("latency", 1)
 }
 
 func (e *engine) guardedConjunction(hot bool) {

@@ -16,9 +16,9 @@ import (
 )
 
 // observer, when set, is attached to every rig and netsim run the
-// experiments build, so cmd/fbufbench can export traces and metrics for a
-// whole benchmark run. Histograms accumulate across all rigs; counter
-// publication (PublishObserved) reflects the most recently built rig.
+// experiments build, so cmd/fbufbench can export the events of a whole
+// benchmark run. Its metrics export (ObservedMetrics) holds the counters
+// and gauges of the most recently built single-host rig.
 var observer *obs.Observer
 
 // lastRig is the most recent single-host rig built while observing.
@@ -30,15 +30,17 @@ func SetObserver(o *obs.Observer) {
 	lastRig = nil
 }
 
-// PublishObserved publishes the most recent rig's counters into the
-// observer's metrics registry (called before exporting a snapshot).
-func PublishObserved() {
-	if observer == nil || lastRig == nil {
-		return
+// ObservedMetrics snapshots the most recent observed rig's counters and
+// gauges plus the observer's ring statistics; it is empty when no
+// single-host rig was built while observing.
+func ObservedMetrics() obs.Snapshot {
+	snap := obs.NewSnapshot()
+	if observer != nil && lastRig != nil {
+		lastRig.mgr.PublishMetrics(snap)
+		lastRig.sys.PublishMetrics(snap)
+		observer.PublishSelfMetrics(snap)
 	}
-	lastRig.mgr.PublishMetrics(observer.Metrics)
-	lastRig.sys.PublishMetrics(observer.Metrics)
-	observer.PublishSelfMetrics()
+	return snap
 }
 
 // rig is one fresh simulated host for the single-host experiments.

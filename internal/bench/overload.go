@@ -88,7 +88,8 @@ func (r *overloadRng) intn(n int) int {
 // overloadClassRun is one tenant class's measured outcome.
 type overloadClassRun struct {
 	requests uint64
-	p50, p99 int64 // latency, simulated ns
+	latency  obs.Histogram // request latency, simulated ns
+	p50, p99 int64         // its percentiles
 	rejects  uint64
 	fast     uint64 // adaptive fast hops, aggregated over churned conns too
 	copies   uint64 // adaptive copy hops
@@ -134,13 +135,6 @@ func runOverload(seed int64, policyName string) (*overloadRun, error) {
 		tenants[t.name] = adm.Class(t.name, t.weight)
 	}
 	r.mgr.SetAdmission(adm)
-
-	// Latency histograms live in a run-local observer (percentiles come
-	// from the obs layer's log2 histograms); samples are mirrored into
-	// the fbufbench observer when one is attached. The nil-safe obs API
-	// makes the mirror free when it is not.
-	lo := obs.New(8)
-	lo.SetNow(r.clk.Now)
 
 	baseline := r.sys.Mem.Allocated()
 
@@ -271,13 +265,8 @@ func runOverload(seed int64, policyName string) (*overloadRun, error) {
 			// anything surfacing here is a real bug.
 			return nil, fmt.Errorf("bench: overload req %d (%s): %w", req, spec.name, err)
 		}
-		latency := int64(wait + (r.clk.Now() - start))
 		cl.requests++
-		name := "overload." + spec.name + ".latency_ns"
-		lo.Observe(name, latency)
-		if observer != nil {
-			observer.Observe(name, latency)
-		}
+		cl.latency.Observe(int64(wait + (r.clk.Now() - start)))
 
 		// Connection churn: close and reopen one of the class's
 		// connections on a rotating index.
@@ -323,9 +312,8 @@ func runOverload(seed int64, policyName string) (*overloadRun, error) {
 	}
 	for _, t := range overloadTenants {
 		cl := run.classes[t.name]
-		h := lo.Metrics.Histogram("overload." + t.name + ".latency_ns")
-		cl.p50 = h.Percentile(50)
-		cl.p99 = h.Percentile(99)
+		cl.p50 = cl.latency.Percentile(50)
+		cl.p99 = cl.latency.Percentile(99)
 		cl.rejects = tenants[t.name].Rejects()
 	}
 

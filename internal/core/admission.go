@@ -12,11 +12,9 @@ package core
 // budget, and a chunk grant that would push the class past its share is
 // refused with ErrAdmission before the kernel is asked for the chunk.
 //
-// The refusal is the top rung of the overload ladder (DESIGN.md §14):
+// The refusal is a rung of the overload ladder (DESIGN.md §14):
 // ErrAdmission counts as an alloc failure, so xfer.Adaptive degrades the
-// affected transfers to the pre-pinned copy path, while Pressured() gives
-// the window protocol a backpressure bit to shrink senders' effective
-// windows — load is shed smoothly at two layers instead of thrashing the
+// affected transfers to the pre-pinned copy path instead of thrashing the
 // allocator.
 //
 // Concurrency: class registration and SetAdmission are control-plane
@@ -26,20 +24,10 @@ package core
 
 import "sync/atomic"
 
-// pressureWindow is how many subsequently admitted grants it takes for
-// the backpressure signal to decay after a rejection. Counting grants
-// instead of reading a clock keeps the signal deterministic (detlint).
-const pressureWindow = 16
-
 // Admission arbitrates chunk grants between weighted tenant classes.
 type Admission struct {
 	budget  int
 	classes []*TenantClass
-
-	// pressure is the decaying backpressure signal: set to pressureWindow
-	// on every rejection, decremented on every admitted grant, polled by
-	// SWP via Pressured.
-	pressure atomic.Int64
 }
 
 // TenantClass is one weighted admission class (e.g. "quick", "video",
@@ -58,12 +46,6 @@ type TenantClass struct {
 func NewAdmission(budgetChunks int) *Admission {
 	return &Admission{budget: budgetChunks}
 }
-
-// Budget returns the global chunk budget.
-func (a *Admission) Budget() int { return a.budget }
-
-// Classes returns the registered classes in registration order.
-func (a *Admission) Classes() []*TenantClass { return a.classes }
 
 // Class registers a weighted tenant class and rebalances every class's
 // share: share_i = budget * w_i / Σw, floored at one chunk so no class
@@ -95,29 +77,14 @@ func (a *Admission) admit(t *TenantClass) bool {
 	if t.inUse.Add(1) > t.share.Load() {
 		t.inUse.Add(-1)
 		t.rejects.Add(1)
-		a.pressure.Store(pressureWindow)
 		return false
 	}
-	// Admitted grants decay the pressure signal toward zero.
-	for {
-		p := a.pressure.Load()
-		if p <= 0 {
-			return true
-		}
-		if a.pressure.CompareAndSwap(p, p-1) {
-			return true
-		}
-	}
+	return true
 }
 
 // release refunds one chunk when a grant fails downstream or the chunk
 // drains back to the kernel (releaseChunkLocked).
 func (a *Admission) release(t *TenantClass) { t.inUse.Add(-1) }
-
-// Pressured reports whether an admission rejection happened within the
-// last pressureWindow admitted grants — the backpressure bit the window
-// protocol polls to shrink its effective send window.
-func (a *Admission) Pressured() bool { return a.pressure.Load() > 0 }
 
 // Share returns the class's current chunk share.
 func (t *TenantClass) Share() int { return int(t.share.Load()) }
@@ -131,6 +98,3 @@ func (t *TenantClass) Rejects() uint64 { return t.rejects.Load() }
 // SetAdmission installs (or, with nil, removes) the tenant admission
 // controller. Control-plane: set before traffic starts.
 func (m *Manager) SetAdmission(a *Admission) { m.admission = a }
-
-// Admission returns the installed controller, nil if none.
-func (m *Manager) Admission() *Admission { return m.admission }

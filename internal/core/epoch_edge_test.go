@@ -227,12 +227,11 @@ func TestEpochEdgeDomainDeathMidExchange(t *testing.T) {
 }
 
 // TestEpochEdgeAdmissionRefundVsEpoch: tenant chunk refunds are VA-side
-// accounting and must not wait for physical frame retirement. A rejection
-// pressurizes the admission controller; evicting the tenant's path refunds
-// its chunk immediately — while every frame of that chunk is still parked
-// under a pinned worker — and the pressure signal decays only with
-// subsequently admitted grants, one per grant, exactly pressureWindow of
-// them, regardless of how the epoch plane interleaves.
+// accounting and must not wait for physical frame retirement. After a
+// rejection, evicting the tenant's path refunds its chunk immediately —
+// while every frame of that chunk is still parked under a pinned worker —
+// so later grants are admitted, regardless of how the epoch plane
+// interleaves.
 func TestEpochEdgeAdmissionRefundVsEpoch(t *testing.T) {
 	requireIdenticalTraces(t, func(t *testing.T, seed int64) string {
 		rng := rand.New(rand.NewSource(seed))
@@ -246,7 +245,7 @@ func TestEpochEdgeAdmissionRefundVsEpoch(t *testing.T) {
 		w := r.mgr.RegisterEpochWorker()
 		w.Enter()
 
-		// Exhaust the share, then take the rejection that pressurizes.
+		// Exhaust the share, then take a rejection.
 		f1, err := p.Alloc()
 		if err != nil {
 			t.Fatal(err)
@@ -254,7 +253,7 @@ func TestEpochEdgeAdmissionRefundVsEpoch(t *testing.T) {
 		if _, err := p.Alloc(); err == nil {
 			t.Fatal("second grant admitted past the share")
 		}
-		tr.event("rejected inuse=%d pressured=%v", cl.InUse(), adm.Pressured())
+		tr.event("rejected inuse=%d", cl.InUse())
 
 		// Free and evict: the chunk drains back and the tenant's charge is
 		// refunded now — even though every frame of it is parked behind
@@ -272,15 +271,10 @@ func TestEpochEdgeAdmissionRefundVsEpoch(t *testing.T) {
 		tr.mark("refunded-while-parked", r)
 		advancePinned(t, r, rng, tr)
 
-		// Pressure decays one step per admitted grant: each cycle carves a
-		// fresh chunk (eviction emptied the free list), is admitted, and
-		// drains right back. After exactly pressureWindow admitted grants
-		// the signal is gone — no sooner, and the epoch backlog growing
-		// underneath changes nothing.
-		for i := 0; i < pressureWindow; i++ {
-			if i == pressureWindow-1 && !adm.Pressured() {
-				t.Fatalf("pressure cleared after %d admitted grants, want %d", i, pressureWindow)
-			}
+		// Each cycle carves a fresh chunk (eviction emptied the free list),
+		// is admitted, and drains right back: the epoch backlog growing
+		// underneath never holds a refund back.
+		for i := 0; i < 16; i++ {
 			f, err := p.Alloc()
 			if err != nil {
 				t.Fatalf("admitted grant %d: %v", i, err)
@@ -290,14 +284,10 @@ func TestEpochEdgeAdmissionRefundVsEpoch(t *testing.T) {
 			}
 			r.mgr.EvictPath(p)
 			if i%4 == 3 {
-				tr.event("decay grants=%d pressured=%v pending=%d",
-					i+1, adm.Pressured(), r.mgr.EpochPending())
+				tr.event("grants=%d inuse=%d pending=%d", i+1, cl.InUse(), r.mgr.EpochPending())
 			}
 		}
-		if adm.Pressured() {
-			t.Fatal("pressure still set after a full decay window of admitted grants")
-		}
-		tr.mark("decayed", r)
+		tr.mark("regranted", r)
 
 		w.Exit()
 		tr.event("advance-unpinned retired=%d", r.mgr.AdvanceEpoch())

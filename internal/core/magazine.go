@@ -241,13 +241,8 @@ func (g *Magazine) Drain() {
 	if len(inv) > 0 {
 		g.flushes++
 	}
-	depth := len(p.free)
 	g.mergeCounters()
 	p.unlock()
-	if o := p.mgr.Sys.Obs; o != nil && len(inv) > 0 {
-		p.ensureMetrics(o)
-		p.depthGauge.Set(int64(depth))
-	}
 }
 
 // mergeCounters merges the deferred local counters into the shared Stats

@@ -321,51 +321,49 @@ func (m *Manager) Snapshot() Stats {
 	}
 }
 
-// PublishMetrics writes the facility counters and per-path gauges into the
-// registry using Set, so the Stats struct stays the single source of truth.
-func (m *Manager) PublishMetrics(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
+// PublishMetrics writes the facility counters and per-path gauges into
+// snap, so the Stats struct stays the single source of truth.
+func (m *Manager) PublishMetrics(snap obs.Snapshot) {
+	c := snap.Counters
 	s := m.Snapshot()
-	reg.Counter("core.allocs").Set(s.Allocs)
-	reg.Counter("core.cache_hits").Set(s.CacheHits)
-	reg.Counter("core.cache_misses").Set(s.CacheMisses)
-	reg.Counter("core.transfers").Set(s.Transfers)
-	reg.Counter("core.mappings_built").Set(s.MappingsBuilt)
-	reg.Counter("core.secures").Set(s.Secures)
-	reg.Counter("core.frees").Set(s.Frees)
-	reg.Counter("core.recycles").Set(s.Recycles)
-	reg.Counter("core.notices_queued").Set(s.NoticesQueued)
-	reg.Counter("core.notices_piggy").Set(s.NoticesPiggy)
-	reg.Counter("core.notices_explicit").Set(s.NoticesExplicit)
-	reg.Counter("core.notices_ring").Set(s.NoticesRing)
-	reg.Counter("core.frames_reclaimed").Set(s.FramesReclaimed)
-	reg.Counter("core.lazy_refills").Set(s.LazyRefills)
-	reg.Counter("core.alloc_failures").Set(s.AllocFailures)
-	reg.Counter("core.path_evictions").Set(s.PathEvictions)
-	reg.Counter("core.admission_rejects").Set(s.AdmissionRejects)
-	c := m.ContentionSnapshot()
-	reg.Counter("smp.lock_acquires").Set(c.LockAcquires)
-	reg.Counter("smp.lock_contended").Set(c.LockContended)
-	reg.Counter("smp.magazine_hits").Set(c.MagazineHits)
-	reg.Counter("smp.magazine_misses").Set(c.MagazineMisses)
-	reg.Counter("smp.magazine_refills").Set(c.MagazineRefills)
-	reg.Counter("smp.magazine_flushes").Set(c.MagazineFlushes)
-	reg.Counter("smp.depot_exchanges").Set(c.DepotExchanges)
-	reg.Counter("smp.depot_assemblies").Set(c.DepotAssemblies)
-	reg.Counter("smp.depot_spills").Set(c.DepotSpills)
-	reg.Counter("smp.epoch_parks").Set(c.EpochParks)
-	reg.Counter("smp.epoch_retires").Set(c.EpochRetires)
+	c["core.allocs"] = s.Allocs
+	c["core.cache_hits"] = s.CacheHits
+	c["core.cache_misses"] = s.CacheMisses
+	c["core.transfers"] = s.Transfers
+	c["core.mappings_built"] = s.MappingsBuilt
+	c["core.secures"] = s.Secures
+	c["core.frees"] = s.Frees
+	c["core.recycles"] = s.Recycles
+	c["core.notices_queued"] = s.NoticesQueued
+	c["core.notices_piggy"] = s.NoticesPiggy
+	c["core.notices_explicit"] = s.NoticesExplicit
+	c["core.notices_ring"] = s.NoticesRing
+	c["core.frames_reclaimed"] = s.FramesReclaimed
+	c["core.lazy_refills"] = s.LazyRefills
+	c["core.alloc_failures"] = s.AllocFailures
+	c["core.path_evictions"] = s.PathEvictions
+	c["core.admission_rejects"] = s.AdmissionRejects
+	ct := m.ContentionSnapshot()
+	c["smp.lock_acquires"] = ct.LockAcquires
+	c["smp.lock_contended"] = ct.LockContended
+	c["smp.magazine_hits"] = ct.MagazineHits
+	c["smp.magazine_misses"] = ct.MagazineMisses
+	c["smp.magazine_refills"] = ct.MagazineRefills
+	c["smp.magazine_flushes"] = ct.MagazineFlushes
+	c["smp.depot_exchanges"] = ct.DepotExchanges
+	c["smp.depot_assemblies"] = ct.DepotAssemblies
+	c["smp.depot_spills"] = ct.DepotSpills
+	c["smp.epoch_parks"] = ct.EpochParks
+	c["smp.epoch_retires"] = ct.EpochRetires
 	for _, p := range m.paths {
-		reg.Gauge(p.metricPrefix() + "free_depth").Set(int64(p.FreeListLen()))
+		snap.Gauges[p.metricPrefix()+"free_depth"] = int64(p.FreeListLen())
 		if d := p.depot; d != nil {
-			reg.Gauge(p.metricPrefix() + "depot_inventory").Set(int64(d.Inventory()))
+			snap.Gauges[p.metricPrefix()+"depot_inventory"] = int64(d.Inventory())
 			for i, ss := range d.ShardStats() {
 				pre := fmt.Sprintf("%sdepot_shard.%d.", p.metricPrefix(), i)
-				reg.Counter(pre + "acquires").Set(ss.Acquires)
-				reg.Counter(pre + "contended").Set(ss.Contended)
-				reg.Gauge(pre + "depth").Set(int64(ss.Depth))
+				c[pre+"acquires"] = ss.Acquires
+				c[pre+"contended"] = ss.Contended
+				snap.Gauges[pre+"depth"] = int64(ss.Depth)
 			}
 		}
 	}

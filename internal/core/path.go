@@ -13,7 +13,6 @@ import (
 	"fbufs/internal/mem"
 	"fbufs/internal/obs"
 	"fbufs/internal/obs/span"
-	"fbufs/internal/simtime"
 	"fbufs/internal/vm"
 )
 
@@ -76,11 +75,6 @@ type DataPath struct {
 	// Alloc's own increment (the PR 4 latent bug). Read it via
 	// AllocatedCount.
 	Allocated uint64
-
-	// Cached per-path metric handles, resolved on first observed use.
-	allocHist  *obs.Histogram
-	hopHist    *obs.Histogram
-	depthGauge *obs.Gauge
 
 	// Per-path shared-lock contention counters (the heatmap's raw data),
 	// alongside the manager-global Contention totals.
@@ -229,17 +223,6 @@ func (p *DataPath) metricPrefix() string {
 	return fmt.Sprintf("path.%d.%s.", p.ID+p.mgr.Sys.TraceBase, p.Name)
 }
 
-// ensureMetrics resolves the per-path histogram/gauge handles once.
-func (p *DataPath) ensureMetrics(o *obs.Observer) {
-	if p.allocHist != nil || o == nil || o.Metrics == nil {
-		return
-	}
-	prefix := p.metricPrefix()
-	p.allocHist = o.Metrics.Histogram(prefix + "alloc_ns")
-	p.hopHist = o.Metrics.Histogram(prefix + "hop_ns")
-	p.depthGauge = o.Metrics.Gauge(prefix + "free_depth")
-}
-
 // Alloc allocates an fbuf from the path allocator on behalf of the
 // originator. In the cached steady state this pops the LIFO free list and
 // performs no mapping work at all; on a miss it carves a new fbuf from the
@@ -266,9 +249,7 @@ func (p *DataPath) Alloc() (*Fbuf, error) {
 	// may demote another path; it never takes this path's lock.
 	m.touchPath(p)
 	o := m.Sys.Obs
-	var t0 simtime.Time
 	if o != nil {
-		t0 = o.Now()
 		o.SpanBegin(span.StageAlloc, "core", int(p.Originator().ID)+m.Sys.TraceBase, int64(p.fbufPages))
 		defer o.SpanEnd()
 	}
@@ -292,7 +273,7 @@ func (p *DataPath) Alloc() (*Fbuf, error) {
 			}
 			atomic.AddUint64(&m.stats.CacheHits, 1)
 			f.resetLive(p.Originator())
-			p.observeAlloc(o, f, t0, true, depth)
+			p.observeAlloc(o, f, true, depth)
 			return f, nil
 		}
 	}
@@ -307,14 +288,14 @@ func (p *DataPath) Alloc() (*Fbuf, error) {
 		}
 		return nil, err
 	}
-	p.observeAlloc(o, f, t0, false, depth)
+	p.observeAlloc(o, f, false, depth)
 	return f, nil
 }
 
-// observeAlloc emits the allocation events and samples the path's
-// alloc-latency histogram; o == nil (tracing disabled) costs one branch.
-// depth is the free-list depth captured under the path lock.
-func (p *DataPath) observeAlloc(o *obs.Observer, f *Fbuf, t0 simtime.Time, hit bool, depth int) {
+// observeAlloc emits the allocation events; o == nil (tracing disabled)
+// costs one branch. depth is the free-list depth captured under the path
+// lock.
+func (p *DataPath) observeAlloc(o *obs.Observer, f *Fbuf, hit bool, depth int) {
 	if o == nil {
 		return
 	}
@@ -325,9 +306,6 @@ func (p *DataPath) observeAlloc(o *obs.Observer, f *Fbuf, t0 simtime.Time, hit b
 	} else {
 		m.emit(obs.EvCacheMiss, p.Originator(), f, 0)
 	}
-	p.ensureMetrics(o)
-	p.allocHist.Observe(int64(o.Now() - t0))
-	p.depthGauge.Set(int64(depth))
 }
 
 // carveLocked builds a brand-new fbuf from chunk space. It is called with
@@ -415,10 +393,6 @@ func (p *DataPath) AllocBatch(out []*Fbuf) (int, error) {
 	// Alloc loop's first iteration would give the cache).
 	m.touchPath(p)
 	o := m.Sys.Obs
-	var t0 simtime.Time
-	if o != nil {
-		t0 = o.Now()
-	}
 	filled := 0
 	if p.opts.Cached {
 		var ferr error
@@ -458,7 +432,7 @@ func (p *DataPath) AllocBatch(out []*Fbuf) (int, error) {
 			}
 			atomic.AddUint64(&m.stats.CacheHits, 1)
 			f.resetLive(p.Originator())
-			p.observeAlloc(o, f, t0, true, depth-i-1)
+			p.observeAlloc(o, f, true, depth-i-1)
 		}
 		if ferr != nil {
 			atomic.AddUint64(&m.stats.AllocFailures, 1)
@@ -639,10 +613,7 @@ func (m *Manager) Transfer(f *Fbuf, from, to *domain.Domain) error {
 	if !m.Attached(to) {
 		return ErrNotAttached
 	}
-	o := m.Sys.Obs
-	var t0 simtime.Time
-	if o != nil {
-		t0 = o.Now()
+	if o := m.Sys.Obs; o != nil {
 		o.SpanBegin(span.StageMap, "core", int(to.ID)+m.Sys.TraceBase, int64(f.Pages))
 		defer o.SpanEnd()
 	}
@@ -677,10 +648,6 @@ func (m *Manager) Transfer(f *Fbuf, from, to *domain.Domain) error {
 	f.setLine(to.ID, h.refs+1, h.mapped)
 	f.mu.Unlock()
 	f.total.Add(1)
-	if o != nil && f.Path != nil {
-		f.Path.ensureMetrics(o)
-		f.Path.hopHist.Observe(int64(o.Now() - t0))
-	}
 	return nil
 }
 
@@ -832,7 +799,6 @@ func (m *Manager) freeOne(f *Fbuf, d *domain.Domain, batch *recycleBatch) error 
 		m.Sys.Sink().Charge(m.Sys.Cost.KernelCall)
 		atomic.AddUint64(&m.stats.NoticesExplicit, uint64(len(overflow)))
 		m.emit(obs.EvNoticeExplicit, d, nil, int64(len(overflow)))
-		m.observeNoticeBatch(len(overflow))
 		for _, ff := range overflow {
 			m.recycle(ff)
 		}
@@ -852,7 +818,6 @@ func (m *Manager) DeliverNotices(replier, caller *domain.Domain) {
 	if n := len(batch); n > 0 {
 		atomic.AddUint64(&m.stats.NoticesPiggy, uint64(n))
 		m.emit(obs.EvNoticePiggy, replier, nil, int64(n))
-		m.observeNoticeBatch(n)
 		for _, f := range batch {
 			m.recycle(f)
 		}
@@ -870,7 +835,6 @@ func (m *Manager) CollectNotices(holder, owner *domain.Domain) []*Fbuf {
 	if n := len(batch); n > 0 {
 		atomic.AddUint64(&m.stats.NoticesRing, uint64(n))
 		m.emit(obs.EvNoticeRing, holder, nil, int64(n))
-		m.observeNoticeBatch(n)
 	}
 	return batch
 }
@@ -889,13 +853,6 @@ func (m *Manager) RetireNotices(batch []*Fbuf) {
 	}
 	for _, f := range batch {
 		m.recycle(f)
-	}
-}
-
-// observeNoticeBatch samples the notice batch-size histogram.
-func (m *Manager) observeNoticeBatch(n int) {
-	if o := m.Sys.Obs; o != nil {
-		o.Observe("core.notice_batch", int64(n))
 	}
 }
 
@@ -950,15 +907,10 @@ func (m *Manager) recycleB(f *Fbuf, batch *recycleBatch) {
 		if !p.closed {
 			m.resetForFreeList(f)
 			p.free = append(p.free, f) // LIFO push
-			depth := len(p.free)
 			if m.san != nil {
 				m.san.poisonFree(f)
 			}
 			p.unlock()
-			if o := m.Sys.Obs; o != nil {
-				p.ensureMetrics(o)
-				p.depthGauge.Set(int64(depth))
-			}
 			return
 		}
 		p.unlock()
@@ -1018,13 +970,8 @@ func (m *Manager) flushRecycleBatch(b *recycleBatch) {
 	p := b.path
 	p.lock()
 	p.free = append(p.free, b.fbufs...) // LIFO push, batch order preserved
-	depth := len(p.free)
 	p.unlock()
 	b.fbufs = nil
-	if o := m.Sys.Obs; o != nil {
-		p.ensureMetrics(o)
-		p.depthGauge.Set(int64(depth))
-	}
 }
 
 // unmapFromLocked tears down all of the fbuf's PTEs in d. The fbuf's own

@@ -180,10 +180,6 @@ func (m *Manager) EvictPath(p *DataPath) int {
 	atomic.AddUint64(&m.stats.PathEvictions, 1)
 	p.evictions.Add(1)
 	m.emit(obs.EvPathEvict, p.Originator(), nil, int64(len(freeList)))
-	if o := m.Sys.Obs; o != nil && len(freeList) > 0 {
-		p.ensureMetrics(o)
-		p.depthGauge.Set(0)
-	}
 	return len(freeList)
 }
 

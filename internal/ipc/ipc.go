@@ -118,9 +118,6 @@ func (r *Router) Register(d *domain.Domain, handler Handler) PortID {
 	return id
 }
 
-// Unregister removes a port (domain teardown).
-func (r *Router) Unregister(id PortID) { delete(r.ports, id) }
-
 // OnReply registers a reply hook.
 func (r *Router) OnReply(h ReplyHook) { r.replyHooks = append(r.replyHooks, h) }
 
@@ -174,14 +171,6 @@ func (r *Router) RingStats() rings.Stats {
 		s.Add(pr.Stats())
 	}
 	return s
-}
-
-// Owner returns the domain owning the port, or nil.
-func (r *Router) Owner(id PortID) *domain.Domain {
-	if p, ok := r.ports[id]; ok {
-		return p.owner
-	}
-	return nil
 }
 
 // Call performs a synchronous RPC from domain `from` to the port. The full

@@ -157,22 +157,3 @@ func TestDeadOwnerRejected(t *testing.T) {
 		t.Fatal("call to dead domain accepted")
 	}
 }
-
-func TestUnregister(t *testing.T) {
-	r := newRig()
-	server := r.reg.New("server")
-	client := r.reg.New("client")
-	port := r.rt.Register(server, func(from *domain.Domain, msg *Message) (*Message, error) {
-		return nil, nil
-	})
-	if r.rt.Owner(port) != server {
-		t.Fatal("owner lookup")
-	}
-	r.rt.Unregister(port)
-	if r.rt.Owner(port) != nil {
-		t.Fatal("owner after unregister")
-	}
-	if _, err := r.rt.Call(client, port, nil); err == nil {
-		t.Fatal("call to unregistered port accepted")
-	}
-}

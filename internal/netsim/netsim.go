@@ -116,14 +116,6 @@ type Config struct {
 	// notices coalesce into one completion entry per drain. Off by
 	// default, leaving the legacy per-transfer IPC path byte-identical.
 	UseRings bool
-	// AdmissionBudget, when positive, installs a per-tenant admission
-	// controller on each host with that many chunks of budget: the app
-	// data path joins an "app" class (weight 3) and the protocol header
-	// paths a "proto" class (weight 1). When the app class overruns its
-	// share, allocations fail with core.ErrAdmission and — with UseSWP —
-	// the sender's effective window halves via SWP.Backpressure until the
-	// pressure drains.
-	AdmissionBudget int
 }
 
 // Result reports a run's measurements.
@@ -246,16 +238,6 @@ func newHost(sched *simtime.Scheduler, name string, cfg Config, txVCI, rxVCI osi
 	h.Mgr.AttachDomain(h.App)
 	h.Mgr.AttachDomain(h.Net)
 
-	// Optional overload control: tenant classes arbitrating chunk grants
-	// between the application data path and the protocol header paths.
-	var appClass, protoClass *core.TenantClass
-	if cfg.AdmissionBudget > 0 {
-		adm := core.NewAdmission(cfg.AdmissionBudget)
-		appClass = adm.Class("app", 3)
-		protoClass = adm.Class("proto", 1)
-		h.Mgr.SetAdmission(adm)
-	}
-
 	// Transmit-side data path: app -> (netserver ->) kernel.
 	txDoms := dedupDomains(h.App, h.Net, kernel)
 	appPath, err := h.Mgr.NewPath("tx-data", cfg.Opts, 16, txDoms...)
@@ -263,7 +245,6 @@ func newHost(sched *simtime.Scheduler, name string, cfg Config, txVCI, rxVCI osi
 		return nil, err
 	}
 	appPath.SetQuota(64)
-	appPath.SetTenant(appClass)
 	appCtx, err := aggregate.NewCtx(h.Mgr, appPath, cfg.Opts.Integrated)
 	if err != nil {
 		return nil, err
@@ -273,7 +254,6 @@ func newHost(sched *simtime.Scheduler, name string, cfg Config, txVCI, rxVCI osi
 		return nil, err
 	}
 	ackPath.SetQuota(32)
-	ackPath.SetTenant(protoClass)
 	ackCtx, err := aggregate.NewCtx(h.Mgr, ackPath, cfg.Opts.Integrated)
 	if err != nil {
 		return nil, err
@@ -288,7 +268,6 @@ func newHost(sched *simtime.Scheduler, name string, cfg Config, txVCI, rxVCI osi
 		return nil, err
 	}
 	udpPath.SetQuota(32)
-	udpPath.SetTenant(protoClass)
 	udpCtx, err := aggregate.NewCtx(h.Mgr, udpPath, cfg.Opts.Integrated)
 	if err != nil {
 		return nil, err
@@ -299,7 +278,6 @@ func newHost(sched *simtime.Scheduler, name string, cfg Config, txVCI, rxVCI osi
 		return nil, err
 	}
 	ipPath.SetQuota(32)
-	ipPath.SetTenant(protoClass)
 	ipCtx, err := aggregate.NewCtx(h.Mgr, ipPath, cfg.Opts.Integrated)
 	if err != nil {
 		return nil, err
@@ -343,11 +321,6 @@ func newHost(sched *simtime.Scheduler, name string, cfg Config, txVCI, rxVCI osi
 		// (~50 ns/byte at ~160 Mb/s effective), or clean transfers would
 		// time out spuriously and spiral.
 		h.SWP.RTO = simtime.MS(10) + simtime.Duration(int64(cfg.MsgBytes)*int64(h.SWP.Window)*50)
-		if adm := h.Mgr.Admission(); adm != nil {
-			// Admission rejections shrink the sender's effective window:
-			// overload slows senders instead of thrashing the allocator.
-			h.SWP.Backpressure = adm.Pressured
-		}
 		xkernel.Connect(h.Env, h.Test, h.SWP)
 		xkernel.Connect(h.Env, h.SWP, dataSess)
 		h.UDP.Bind(dataPort, xkernel.Attach(h.Env, h.SWP, h.UDP.Dom()))
@@ -411,9 +384,9 @@ func (h *Host) Exec(ready simtime.Time, task func() error) error {
 	if o := h.Sys.Obs; o != nil {
 		// While the task runs, the observer's clock advances with the
 		// simulated CPU work the task accrues, anchored at its release
-		// time — so events, spans and latency histograms inside the task
-		// see real durations even though the scheduler clock only moves
-		// between scheduler events. Afterwards the scheduler clock is back.
+		// time — so events and spans inside the task see real durations
+		// even though the scheduler clock only moves between scheduler
+		// events. Afterwards the scheduler clock is back.
 		o.SetNow(func() simtime.Time { return ready + h.meter.Total })
 		defer o.SetNow(h.sched.Now)
 	}

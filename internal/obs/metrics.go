@@ -4,78 +4,20 @@ import (
 	"encoding/json"
 	"io"
 	"math/bits"
-	"sort"
-	"sync"
-	"sync/atomic"
 )
-
-// Counter is a monotonically named count. All methods are safe on nil and
-// safe for concurrent use (atomic); in the default single-threaded mode the
-// atomics are uncontended.
-type Counter struct{ v atomic.Uint64 }
-
-// Inc adds one.
-func (c *Counter) Inc() {
-	if c != nil {
-		c.v.Add(1)
-	}
-}
-
-// Add adds n.
-func (c *Counter) Add(n uint64) {
-	if c != nil {
-		c.v.Add(n)
-	}
-}
-
-// Set overwrites the value — used when publishing an authoritative counter
-// (e.g. a core.Stats field) into the registry, so the struct field stays
-// the single source of truth and no duplicate live count drifts.
-func (c *Counter) Set(v uint64) {
-	if c != nil {
-		c.v.Store(v)
-	}
-}
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
-
-// Gauge is a named instantaneous value. Safe for concurrent use (atomic).
-type Gauge struct{ v atomic.Int64 }
-
-// Set records the current value.
-func (g *Gauge) Set(v int64) {
-	if g != nil {
-		g.v.Store(v)
-	}
-}
-
-// Value returns the last recorded value.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
 
 // histBuckets is the bucket count: bucket 0 holds v <= 0, bucket i >= 1
 // holds v in [2^(i-1), 2^i - 1]. 64 value buckets cover all of int64.
 const histBuckets = 65
 
 // Histogram is a log2-scale histogram of int64 samples (latencies in
-// simulated nanoseconds, batch sizes, depths). Observe and the read
-// accessors are guarded by a mutex so concurrent workers can share one
-// histogram; single-threaded runs pay only an uncontended lock.
+// simulated nanoseconds), the value type the span profiler and the
+// overload experiment take percentiles from. The zero value is empty and
+// ready to use. It is not safe for concurrent use: its owner serializes
+// (the profiler under its own lock).
 type Histogram struct {
-	mu       sync.Mutex
 	counts   [histBuckets]uint64
 	count    uint64
-	sum      int64
 	min, max int64
 }
 
@@ -101,7 +43,6 @@ func (h *Histogram) Observe(v int64) {
 	if h == nil {
 		return
 	}
-	h.mu.Lock()
 	h.counts[bucketOf(v)]++
 	if h.count == 0 || v < h.min {
 		h.min = v
@@ -110,147 +51,20 @@ func (h *Histogram) Observe(v int64) {
 		h.max = v
 	}
 	h.count++
-	h.sum += v
-	h.mu.Unlock()
 }
 
-// Count returns the number of samples.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
-// snapshot copies out the histogram state under its lock.
-func (h *Histogram) snapshot() HistogramSnapshot {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	hs := HistogramSnapshot{Count: h.count, Sum: h.sum, Min: h.min, Max: h.max}
-	for i, n := range h.counts {
-		if n == 0 {
-			continue
-		}
-		lo, hi := BucketBounds(i)
-		hs.Buckets = append(hs.Buckets, BucketCount{Lo: lo, Hi: hi, N: n})
-	}
-	return hs
-}
-
-// Registry holds named metrics. Accessors create on first use, so
-// instrumentation sites never need registration boilerplate. Lookup and
-// creation are guarded by a mutex; hot paths should cache the returned
-// metric pointer rather than re-resolving the name per operation.
-type Registry struct {
-	mu       sync.Mutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
-}
-
-// NewRegistry creates an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
-	}
-}
-
-// Counter returns the named counter, creating it if needed. Returns nil
-// (whose methods are no-ops) on a nil registry.
-func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c := r.counters[name]
-	if c == nil {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
-}
-
-// Gauge returns the named gauge, creating it if needed.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g := r.gauges[name]
-	if g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
-
-// Histogram returns the named histogram, creating it if needed.
-func (r *Registry) Histogram(name string) *Histogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h := r.hists[name]
-	if h == nil {
-		h = &Histogram{}
-		r.hists[name] = h
-	}
-	return h
-}
-
-// BucketCount is one populated histogram bucket in a snapshot.
-type BucketCount struct {
-	Lo int64  `json:"lo"`
-	Hi int64  `json:"hi"`
-	N  uint64 `json:"n"`
-}
-
-// HistogramSnapshot is the exported view of a histogram: summary statistics
-// plus the populated buckets only.
-type HistogramSnapshot struct {
-	Count   uint64        `json:"count"`
-	Sum     int64         `json:"sum"`
-	Min     int64         `json:"min"`
-	Max     int64         `json:"max"`
-	Buckets []BucketCount `json:"buckets,omitempty"`
-}
-
-// Snapshot is a point-in-time copy of every metric, JSON-exportable.
+// Snapshot is a point-in-time copy of the authoritative counters and
+// gauges, filled at export by core.Manager.PublishMetrics,
+// vm.System.PublishMetrics and Observer.PublishSelfMetrics from the
+// structs that own them. Latencies are not metrics: spans record them.
 type Snapshot struct {
-	Counters   map[string]uint64            `json:"counters"`
-	Gauges     map[string]int64             `json:"gauges"`
-	Histograms map[string]HistogramSnapshot `json:"histograms"`
+	Counters map[string]uint64 `json:"counters"`
+	Gauges   map[string]int64  `json:"gauges"`
 }
 
-// Snapshot copies out every metric.
-func (r *Registry) Snapshot() Snapshot {
-	s := Snapshot{
-		Counters:   make(map[string]uint64),
-		Gauges:     make(map[string]int64),
-		Histograms: make(map[string]HistogramSnapshot),
-	}
-	if r == nil {
-		return s
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for name, c := range r.counters {
-		s.Counters[name] = c.Value()
-	}
-	for name, g := range r.gauges {
-		s.Gauges[name] = g.Value()
-	}
-	for name, h := range r.hists {
-		s.Histograms[name] = h.snapshot()
-	}
-	return s
+// NewSnapshot returns an empty snapshot ready to fill.
+func NewSnapshot() Snapshot {
+	return Snapshot{Counters: make(map[string]uint64), Gauges: make(map[string]int64)}
 }
 
 // WriteJSON writes the snapshot as indented JSON. Go sorts map keys when
@@ -263,25 +77,4 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 	data = append(data, '\n')
 	_, err = w.Write(data)
 	return err
-}
-
-// Names returns the sorted names of all metrics (tests, listings).
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var names []string
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	for n := range r.hists {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

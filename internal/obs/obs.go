@@ -1,17 +1,17 @@
 // Package obs is the unified observability layer: a low-overhead structured
-// event tracer on the simulated clock plus a registry of named counters,
-// gauges, and log-scale histograms. Every layer of the stack (vm, core,
-// protocols, osiris, netsim) emits through an *Observer attached to the
-// host's vm.System; when no observer is attached every hook is a nil-check
-// and the simulation's costs and results are bit-identical to running
-// without the package.
+// event tracer and a span recorder on one simulated clock, plus the
+// counter/gauge snapshot that exporters fill from the authoritative stats
+// structs. Every layer of the stack (vm, core, protocols, osiris, netsim)
+// emits through an *Observer attached to the host's vm.System; when no
+// observer is attached every hook is a nil-check and the simulation's costs
+// and results are bit-identical to running without the package.
 //
 // Events are stamped with simulated time, a trace actor (domain ID plus the
 // host's trace base), a track (data-path ID plus trace base, or -1), and
 // the fbuf's recycle generation, so a Chrome trace-event export shows
-// domains as processes and data paths as tracks in Perfetto. Events, spans
-// and the latency histograms all read one clock, the observer's (SetNow),
-// so a transfer's events fall inside its spans.
+// domains as processes and data paths as tracks in Perfetto. Events and
+// spans read one clock, the observer's (SetNow), so a transfer's events
+// fall inside its spans; spans are the only latency record.
 package obs
 
 import (
@@ -305,28 +305,25 @@ func (t *Tracer) TrackName(id int) string {
 	return "path " + itoa(id)
 }
 
-// Observer bundles a tracer, a metrics registry, and an optional span
-// recorder; it is the single handle the simulation layers hold. A nil
-// *Observer disables everything, and a nil Spans disables per-transfer
-// tracing while events and metrics stay live.
+// Observer bundles a tracer and an optional span recorder; it is the
+// single handle the simulation layers hold. A nil *Observer disables
+// everything, and a nil Spans disables per-transfer tracing while events
+// stay live.
 type Observer struct {
-	Tracer  *Tracer
-	Metrics *Registry
-	Spans   *span.Recorder
+	Tracer *Tracer
+	Spans  *span.Recorder
 
-	now func() simtime.Time // the one clock: event stamps, spans, latencies
+	now func() simtime.Time // the one clock: event stamps and spans
 }
 
-// New creates an observer with an event ring of the given capacity and an
-// empty metrics registry.
+// New creates an observer with an event ring of the given capacity.
 func New(eventCap int) *Observer {
-	return &Observer{Tracer: NewTracer(eventCap), Metrics: NewRegistry()}
+	return &Observer{Tracer: NewTracer(eventCap)}
 }
 
-// SetNow installs the simulated-clock reader that stamps events and spans
-// and times latency histograms. A host that meters a task's work installs
-// a clock that advances with the task's charges while it runs (netsim's
-// Host.Exec). Safe on nil.
+// SetNow installs the simulated-clock reader that stamps events and spans.
+// A host that meters a task's work installs a clock that advances with the
+// task's charges while it runs (netsim's Host.Exec). Safe on nil.
 func (o *Observer) SetNow(fn func() simtime.Time) {
 	if o == nil {
 		return
@@ -351,27 +348,18 @@ func (o *Observer) Emit(kind EventKind, domain, path int, gen uint64, arg int64)
 	o.Tracer.Emit(o.Now(), kind, domain, path, gen, arg)
 }
 
-// PublishSelfMetrics writes the tracer's own ring statistics into the
-// observer's registry: events ever emitted, events lost to ring wraparound,
-// and events currently held. Exporters call this before snapshotting so
-// trace truncation under load (e.g. the chaos harness) is visible in the
-// metrics JSON rather than only via Tracer.Dropped in tests. Safe on nil.
-func (o *Observer) PublishSelfMetrics() {
-	if o == nil || o.Metrics == nil {
+// PublishSelfMetrics writes the tracer's own ring statistics into s:
+// events ever emitted, events lost to ring wraparound, and events
+// currently held, so trace truncation under load (e.g. the chaos harness)
+// is visible in the metrics JSON rather than only via Tracer.Dropped in
+// tests. Safe on nil.
+func (o *Observer) PublishSelfMetrics(s Snapshot) {
+	if o == nil {
 		return
 	}
-	o.Metrics.Counter("obs.events_total").Set(o.Tracer.Total())
-	o.Metrics.Counter("obs.events_dropped").Set(o.Tracer.Dropped())
-	o.Metrics.Gauge("obs.events_held").Set(int64(o.Tracer.Count()))
-}
-
-// Observe records a histogram sample by name. Hot paths should cache the
-// *Histogram instead; this is the convenience form. Safe on nil.
-func (o *Observer) Observe(name string, v int64) {
-	if o == nil || o.Metrics == nil {
-		return
-	}
-	o.Metrics.Histogram(name).Observe(v)
+	s.Counters["obs.events_total"] = o.Tracer.Total()
+	s.Counters["obs.events_dropped"] = o.Tracer.Dropped()
+	s.Gauges["obs.events_held"] = int64(o.Tracer.Count())
 }
 
 // SpanBegin opens a child span of the current trace. Every SpanBegin must

@@ -169,21 +169,17 @@ func TestExportDeterminism(t *testing.T) {
 		t.Fatal("two identical runs produced different trace exports")
 	}
 	var am, bm bytes.Buffer
-	reg := func() *Registry {
-		r := NewRegistry()
-		r.Counter("z").Add(3)
-		r.Counter("a").Add(1)
-		r.Gauge("depth").Set(-2)
-		h := r.Histogram("lat")
-		for _, v := range []int64{0, 1, 5, 5, 900} {
-			h.Observe(v)
-		}
-		return r
+	snap := func() Snapshot {
+		s := NewSnapshot()
+		s.Counters["z"] = 3
+		s.Counters["a"] = 1
+		s.Gauges["depth"] = -2
+		return s
 	}
-	if err := reg().Snapshot().WriteJSON(&am); err != nil {
+	if err := snap().WriteJSON(&am); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg().Snapshot().WriteJSON(&bm); err != nil {
+	if err := snap().WriteJSON(&bm); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(am.Bytes(), bm.Bytes()) {
@@ -214,21 +210,18 @@ func TestHistogramBucketEdges(t *testing.T) {
 	for _, c := range cases {
 		h.Observe(c.v)
 	}
-	if h.Count() != uint64(len(cases)) {
-		t.Fatalf("count %d", h.Count())
+	if h.count != uint64(len(cases)) {
+		t.Fatalf("count %d", h.count)
 	}
-	snap := NewRegistry()
-	snap.hists["h"] = h
-	hs := snap.Snapshot().Histograms["h"]
-	if hs.Min != -5 || hs.Max != 1<<62 {
-		t.Fatalf("min/max %d/%d", hs.Min, hs.Max)
+	if h.min != -5 || h.max != 1<<62 {
+		t.Fatalf("min/max %d/%d", h.min, h.max)
 	}
 	var total uint64
-	for _, b := range hs.Buckets {
-		total += b.N
+	for _, n := range h.counts {
+		total += n
 	}
-	if total != hs.Count {
-		t.Fatalf("bucket sum %d != count %d", total, hs.Count)
+	if total != h.count {
+		t.Fatalf("bucket sum %d != count %d", total, h.count)
 	}
 }
 
@@ -253,30 +246,27 @@ func TestNilSafety(t *testing.T) {
 	}
 	var o *Observer
 	o.Emit(EvAlloc, 0, 0, 0, 0)
-	o.Observe("x", 1)
 	o.SetNow(nil)
 	if o.Now() != 0 {
 		t.Fatal("nil observer not inert")
 	}
-	var r *Registry
-	r.Counter("c").Inc()
-	r.Gauge("g").Set(1)
-	r.Histogram("h").Observe(1)
-	if r.Counter("c").Value() != 0 {
-		t.Fatal("nil registry not inert")
+	var h *Histogram
+	h.Observe(1)
+	if h.Percentile(50) != 0 {
+		t.Fatal("nil histogram not inert")
 	}
 }
 
 // TestPublishSelfMetrics: after wrapping a small ring, the dropped-event
-// count must surface in the metrics registry and its JSON snapshot — the
-// only signal that an exported trace is truncated.
+// count must surface in the metrics snapshot and its JSON — the only
+// signal that an exported trace is truncated.
 func TestPublishSelfMetrics(t *testing.T) {
 	o := New(4)
 	for i := 0; i < 10; i++ {
 		o.Emit(EvAlloc, 1, 1, 0, int64(i))
 	}
-	o.PublishSelfMetrics()
-	s := o.Metrics.Snapshot()
+	s := NewSnapshot()
+	o.PublishSelfMetrics(s)
 	if got := s.Counters["obs.events_total"]; got != 10 {
 		t.Errorf("obs.events_total = %d, want 10", got)
 	}
@@ -293,9 +283,12 @@ func TestPublishSelfMetrics(t *testing.T) {
 	if !strings.Contains(buf.String(), `"obs.events_dropped": 6`) {
 		t.Errorf("snapshot JSON missing dropped count:\n%s", buf.String())
 	}
-	// Publishing on an observer with no metrics registry (or nil) is a
-	// no-op, matching every other Observer method.
-	(&Observer{Tracer: NewTracer(4)}).PublishSelfMetrics()
+	// Publishing from a nil observer is a no-op, matching every other
+	// Observer method.
+	empty := NewSnapshot()
 	var nilObs *Observer
-	nilObs.PublishSelfMetrics()
+	nilObs.PublishSelfMetrics(empty)
+	if len(empty.Counters)+len(empty.Gauges) != 0 {
+		t.Fatalf("nil observer published %+v", empty)
+	}
 }

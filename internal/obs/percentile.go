@@ -4,81 +4,68 @@ package obs
 // a sample to [2^(i-1), 2^i - 1], so exact quantiles are unrecoverable; the
 // estimator linearly interpolates the target rank's position within its
 // bucket — the standard trade the profiler accepts for O(1) memory. The
-// result is always clamped to the histogram's observed [Min, Max], which
+// result is always clamped to the histogram's observed [min, max], which
 // makes single-sample and single-bucket histograms exact at the extremes.
 
 // Quantile returns an estimate of the q-quantile (0 <= q <= 1) of the
-// snapshot's samples. Returns 0 for an empty histogram.
-func (hs HistogramSnapshot) Quantile(q float64) int64 {
-	if hs.Count == 0 {
+// samples. Returns 0 for an empty or nil histogram.
+func (h *Histogram) Quantile(q float64) int64 {
+	if h == nil || h.count == 0 {
 		return 0
 	}
 	// The extremes are known exactly; only interior quantiles estimate.
 	if q <= 0 {
-		return hs.Min
+		return h.min
 	}
 	if q >= 1 {
-		return hs.Max
+		return h.max
 	}
-	// Target rank in [1, Count] (nearest-rank, then interpolated within
+	// Target rank in [1, count] (nearest-rank, then interpolated within
 	// the bucket that holds it).
-	target := q * float64(hs.Count)
+	target := q * float64(h.count)
 	if target < 1 {
 		target = 1
 	}
 	var cum float64
-	for _, b := range hs.Buckets {
-		n := float64(b.N)
+	for i, c := range h.counts {
+		if c == 0 {
+			continue
+		}
+		n := float64(c)
 		if cum+n >= target {
 			// frac in [0, 1): how far into this bucket the rank falls.
 			frac := (target - cum - 1) / n
 			if frac < 0 {
 				frac = 0
 			}
-			lo, hi := float64(b.Lo), float64(b.Hi)
+			blo, bhi := BucketBounds(i)
+			lo, hi := float64(blo), float64(bhi)
 			// Bucket 0 reports [0, 0] but holds every v <= 0; use the
 			// observed minimum as its lower edge.
-			if b.Lo == 0 && b.Hi == 0 && hs.Min < 0 {
-				lo = float64(hs.Min)
+			if i == 0 && h.min < 0 {
+				lo = float64(h.min)
 			}
 			v := lo + frac*(hi-lo)
 			// Clamp in float space first: near MaxInt64 the int64
 			// conversion of v+0.5 could overflow.
-			if v >= float64(hs.Max) {
-				return hs.Max
+			if v >= float64(h.max) {
+				return h.max
 			}
-			if v <= float64(hs.Min) {
-				return hs.Min
+			if v <= float64(h.min) {
+				return h.min
 			}
-			return clampInt64(int64(v+0.5), hs.Min, hs.Max)
+			return clampInt64(int64(v+0.5), h.min, h.max)
 		}
 		cum += n
 	}
 	// Rounding slack: the rank fell off the end; return the max.
-	return hs.Max
-}
-
-// Percentile is Quantile with p expressed in percent (50, 90, 99).
-func (hs HistogramSnapshot) Percentile(p float64) int64 {
-	return hs.Quantile(p / 100)
-}
-
-// Quantile snapshots the live histogram and estimates the q-quantile.
-// Safe on nil (returns 0).
-func (h *Histogram) Quantile(q float64) int64 {
-	if h == nil {
-		return 0
-	}
-	return h.snapshot().Quantile(q)
+	return h.max
 }
 
 // Percentile is Quantile with p expressed in percent (50, 90, 99).
 // Safe on nil (returns 0).
 func (h *Histogram) Percentile(p float64) int64 {
-	if h == nil {
-		return 0
-	}
-	return h.snapshot().Percentile(p)
+	return h.Quantile(p / 100)
 }
 
 func clampInt64(v, lo, hi int64) int64 {

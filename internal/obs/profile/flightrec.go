@@ -1,7 +1,6 @@
 package profile
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -22,9 +21,8 @@ type Anomaly struct {
 // FlightRecorder is the always-on bounded crash-dump facility: when an
 // anomaly trips (end-to-end latency over threshold, allocation failure,
 // copy-path fallback, a fault-plane verdict), it renders the completed
-// traces the observer's span recorder retains, plus the current metrics
-// snapshot, as a Perfetto (Chrome trace-event) file. The span recorder's
-// bound is the dump's bound.
+// traces the observer's span recorder retains as a Perfetto (Chrome
+// trace-event) file. The span recorder's bound is the dump's bound.
 //
 // A nil *FlightRecorder ignores every call, matching the obs discipline.
 type FlightRecorder struct {
@@ -53,8 +51,8 @@ var anomalousEvents = map[obs.EventKind]string{
 	obs.EvDomainCrash:  "domain-crash",
 }
 
-// NewFlightRecorder creates a recorder over o, pulling traces, events and
-// metrics from it at scan and dump time.
+// NewFlightRecorder creates a recorder over o, pulling traces and events
+// from it at scan and dump time.
 func NewFlightRecorder(o *obs.Observer) *FlightRecorder {
 	return &FlightRecorder{obs: o}
 }
@@ -139,14 +137,12 @@ func (fr *FlightRecorder) Anomalies() []Anomaly {
 	return out
 }
 
-// WriteDump renders the span recorder's retained traces, the anomalies and
-// a metrics snapshot as Chrome trace-event JSON loadable in Perfetto. Spans
-// are "X" (complete) events — pid is the span's actor mapped as in the
-// event exporter (actor -1 becomes the reserved "host" pid 0), tid is the
-// owning trace ID — anomalies are instant events on the host track, and the
-// metrics snapshot rides in a final metadata event's args. Output is
-// deterministic: traces oldest first, spans in recorded order, actors
-// sorted. Safe on nil.
+// WriteDump renders the span recorder's retained traces and the anomalies
+// as Chrome trace-event JSON loadable in Perfetto. Spans are "X" (complete)
+// events — pid is the span's actor mapped as in the event exporter (actor
+// -1 becomes the reserved "host" pid 0), tid is the owning trace ID — and
+// anomalies are instant events on the host track. Output is deterministic:
+// traces oldest first, spans in recorded order, actors sorted. Safe on nil.
 func (fr *FlightRecorder) WriteDump(w io.Writer) error {
 	cw := obs.NewChromeWriter()
 	if fr == nil {
@@ -187,14 +183,6 @@ func (fr *FlightRecorder) WriteDump(w io.Writer) error {
 	for _, a := range anomalies {
 		cw.Event(`{"ph":"i","name":%s,"cat":"anomaly","pid":0,"tid":0,"ts":%s,"s":"g","args":{"detail":%s}}`,
 			obs.Quote("anomaly:"+a.Kind), obs.Micros(a.At), obs.Quote(a.Detail))
-	}
-	if o != nil && o.Metrics != nil {
-		o.PublishSelfMetrics()
-		var mb bytes.Buffer
-		if err := o.Metrics.Snapshot().WriteJSON(&mb); err == nil {
-			cw.Event(`{"ph":"M","name":"fbufs_metrics","pid":0,"tid":0,"args":{"snapshot":%s}}`,
-				mb.String())
-		}
 	}
 	return cw.Flush(w)
 }

@@ -125,7 +125,7 @@ func TestDumpIsLoadablePerfetto(t *testing.T) {
 	Attach(o, p, fr)
 	runTrace(o, 10) // 10 ns > 5 ns: trips the latency trigger
 
-	var sawHostMeta, sawSpan, sawAnomaly, sawMetrics bool
+	var sawHostMeta, sawSpan, sawAnomaly bool
 	for _, e := range dumpEvents(t, fr) {
 		switch {
 		case e.Ph == "M" && e.Name == "process_name" && e.Pid == 0:
@@ -137,13 +137,13 @@ func TestDumpIsLoadablePerfetto(t *testing.T) {
 			}
 		case e.Ph == "i" && strings.HasPrefix(e.Name, "anomaly:"):
 			sawAnomaly = true
-		case e.Ph == "M" && e.Name == "fbufs_metrics":
-			sawMetrics = true
+		case e.Ph == "M" && e.Name != "process_name":
+			t.Fatalf("dump holds metadata beyond process names: %+v", e)
 		}
 	}
-	if !sawHostMeta || !sawSpan || !sawAnomaly || !sawMetrics {
-		t.Fatalf("dump missing sections: host=%v span=%v anomaly=%v metrics=%v",
-			sawHostMeta, sawSpan, sawAnomaly, sawMetrics)
+	if !sawHostMeta || !sawSpan || !sawAnomaly {
+		t.Fatalf("dump missing sections: host=%v span=%v anomaly=%v",
+			sawHostMeta, sawSpan, sawAnomaly)
 	}
 	// Determinism: a second render is byte-identical.
 	var buf, buf2 bytes.Buffer

@@ -57,14 +57,6 @@ type SWP struct {
 	// connection errors out.
 	MaxRetries int
 
-	// Backpressure, when set, is polled before admitting a message into
-	// the window. While it reports true the effective window shrinks to
-	// half (minimum 1), so an overloaded allocator sees its senders slow
-	// down instead of thrash — the admission controller's Pressured
-	// method is the intended source (core.Admission). Messages beyond
-	// the shrunken window queue in pending exactly like window-full ones.
-	Backpressure func() bool
-
 	// Transmit state.
 	nextSeq  uint64
 	sendBase uint64
@@ -83,10 +75,7 @@ type SWP struct {
 
 	// Stats. Backoffs counts timeout events that grew a message's RTO
 	// (i.e. every retransmission armed with a longer timer).
-	// PressureStalls counts sends parked in pending that a full window
-	// alone would have admitted — the cost of honoring Backpressure.
 	Sent, Delivered, Retransmits, DupsDropped, AcksSent, AcksReceived, Backoffs uint64
-	PressureStalls                                                              uint64
 
 	// Err records a terminal failure (retry exhaustion).
 	Err error
@@ -154,26 +143,11 @@ func (s *SWP) Push(m *aggregate.Msg) error {
 	if s.Err != nil {
 		return s.Err
 	}
-	if len(s.inflight) >= s.effWindow() {
-		if len(s.inflight) < s.Window {
-			s.PressureStalls++ // parked by backpressure, not window
-		}
+	if len(s.inflight) >= s.Window {
 		s.pending = append(s.pending, m)
 		return nil
 	}
 	return s.sendData(m)
-}
-
-// effWindow is the window currently in force: the configured Window,
-// halved (minimum 1) while the Backpressure source reports pressure.
-func (s *SWP) effWindow() int {
-	if s.Backpressure != nil && s.Backpressure() {
-		if w := (s.Window + 1) / 2; w >= 1 {
-			return w
-		}
-		return 1
-	}
-	return s.Window
 }
 
 func (s *SWP) sendData(m *aggregate.Msg) error {
@@ -297,8 +271,8 @@ func (s *SWP) handleAck(ackThrough uint64) error {
 	if ackThrough > s.sendBase {
 		s.sendBase = ackThrough
 	}
-	// Window opened: drain pending sends (respecting backpressure).
-	for len(s.pending) > 0 && len(s.inflight) < s.effWindow() {
+	// Window opened: drain pending sends.
+	for len(s.pending) > 0 && len(s.inflight) < s.Window {
 		m := s.pending[0]
 		s.pending = s.pending[1:]
 		if err := s.sendData(m); err != nil {

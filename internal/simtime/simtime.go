@@ -182,18 +182,6 @@ func (s *Scheduler) Run(maxEvents int) int {
 	return n
 }
 
-// RunUntil drains events with timestamps <= deadline, then advances the
-// clock to the deadline.
-func (s *Scheduler) RunUntil(deadline Time) int {
-	n := 0
-	for len(s.queue) > 0 && s.queue[0].at <= deadline {
-		s.Step()
-		n++
-	}
-	s.clock.AdvanceTo(deadline)
-	return n
-}
-
 // Pending reports the number of queued events.
 func (s *Scheduler) Pending() int { return len(s.queue) }
 
@@ -203,11 +191,10 @@ func (s *Scheduler) Pending() int { return len(s.queue) }
 // is accumulated for utilization reporting (the paper reports receive-side
 // CPU load for the end-to-end experiments).
 type Resource struct {
-	Name      string
-	sched     *Scheduler
-	freeAt    Time // resource is idle from freeAt onward
-	busy      Duration
-	statStart Time
+	Name   string
+	sched  *Scheduler
+	freeAt Time // resource is idle from freeAt onward
+	busy   Duration
 }
 
 // NewResource creates a resource on the given scheduler.
@@ -244,19 +231,10 @@ func (r *Resource) ExecAt(t Time, d Duration, done func()) Time {
 	return end
 }
 
-// ResetStats restarts utilization accounting from the current virtual time.
-func (r *Resource) ResetStats() {
-	r.busy = 0
-	r.statStart = r.sched.Now()
-}
-
-// BusyTime returns accumulated busy time since the last ResetStats.
-func (r *Resource) BusyTime() Duration { return r.busy }
-
-// Utilization returns busy time divided by elapsed time since the last
-// ResetStats, clamped to [0, 1]. It returns 0 if no time has elapsed.
+// Utilization returns busy time divided by the time elapsed since time 0,
+// clamped to [0, 1]. It returns 0 if no time has elapsed.
 func (r *Resource) Utilization() float64 {
-	elapsed := r.sched.Now() - r.statStart
+	elapsed := r.sched.Now()
 	if elapsed <= 0 {
 		return 0
 	}

@@ -281,21 +281,17 @@ func NewSystem(cost *machine.CostTable, frames int, sink CostSink) *System {
 	}
 }
 
-// PublishMetrics writes the VM and TLB counters into the registry. The
-// struct fields remain the source of truth; Set overwrites so repeated
-// publishing never double-counts.
-func (s *System) PublishMetrics(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	reg.Counter("vm.faults").Set(s.Faults)
-	reg.Counter("vm.violations").Set(s.Violations)
-	reg.Counter("vm.map_retries").Set(s.MapRetries)
+// PublishMetrics writes the VM and TLB counters into snap. The struct
+// fields remain the source of truth; repeated publishing overwrites.
+func (s *System) PublishMetrics(snap obs.Snapshot) {
+	snap.Counters["vm.faults"] = s.Faults
+	snap.Counters["vm.violations"] = s.Violations
+	snap.Counters["vm.map_retries"] = s.MapRetries
 	s.mu.Lock()
 	hits, misses := s.TLB.Stats()
 	s.mu.Unlock()
-	reg.Counter("tlb.hits").Set(hits)
-	reg.Counter("tlb.misses").Set(misses)
+	snap.Counters["tlb.hits"] = hits
+	snap.Counters["tlb.misses"] = misses
 }
 
 // SetSink replaces the cost sink (the event-driven harness swaps in a Meter
@@ -392,18 +388,6 @@ func (as *AddrSpace) AddRegion(r *Region) error {
 	return nil
 }
 
-// RemoveRegion removes a region previously added.
-func (as *AddrSpace) RemoveRegion(r *Region) {
-	as.mu.Lock()
-	defer as.mu.Unlock()
-	for i, e := range as.regions {
-		if e == r {
-			as.regions = append(as.regions[:i], as.regions[i+1:]...)
-			return
-		}
-	}
-}
-
 // FindRegion locates the region containing va, or nil.
 func (as *AddrSpace) FindRegion(va VA) *Region {
 	as.mu.Lock()
@@ -413,15 +397,6 @@ func (as *AddrSpace) FindRegion(va VA) *Region {
 		return as.regions[i]
 	}
 	return nil
-}
-
-// Regions returns a copy of the region list (read-only use).
-func (as *AddrSpace) Regions() []*Region {
-	as.mu.Lock()
-	defer as.mu.Unlock()
-	out := make([]*Region, len(as.regions))
-	copy(out, as.regions)
-	return out
 }
 
 // --- VA allocation (private ranges) ---

@@ -470,23 +470,6 @@ func TestAllocVAExhaustion(t *testing.T) {
 	}
 }
 
-func TestRemoveRegion(t *testing.T) {
-	sys, _ := newSys()
-	as := sys.NewAddrSpace("a")
-	r := &Region{Start: 0x1000, Pages: 2, Name: "r"}
-	if err := as.AddRegion(r); err != nil {
-		t.Fatal(err)
-	}
-	if len(as.Regions()) != 1 {
-		t.Fatal("region not added")
-	}
-	as.RemoveRegion(r)
-	if as.FindRegion(0x1000) != nil {
-		t.Fatal("region survived removal")
-	}
-	as.RemoveRegion(r) // idempotent
-}
-
 func TestProtString(t *testing.T) {
 	cases := map[Prot]string{
 		ProtNone:  "---",
