@@ -6,13 +6,13 @@
 //	fbufbench [-exp table1|fig3|fig4|fig5|fig6|cpuload|smp|audit|ablations|chaos|overload|rings|all]
 //	          [-seed N]
 //	          [-json] [-json-out BENCH_report.json] [-audit-trace out.json]
-//	          [-trace out.json] [-metrics out.json]
+//	          [-trace out.json]
 //
 // Output is plain text: one aligned table per paper table, one
 // column-per-series table per paper figure. EXPERIMENTS.md records the
 // paper-vs-measured comparison for every entry. -trace exports the
-// observability layer's Chrome trace-event JSON for the benchmark run, and
-// -metrics the counters and gauges of its last single-host rig.
+// observability layer's Chrome trace-event JSON for the benchmark run;
+// fbufsim -metrics exports a host's counters and gauges.
 //
 // -json additionally writes the machine-readable BENCH_report.json: the
 // headline simulated metrics of every experiment (paper figures, smp,
@@ -59,11 +59,10 @@ func main() {
 	jsonPath := flag.String("json-out", "BENCH_report.json", "path for the -json report")
 	auditTrace := flag.String("audit-trace", "", "write the audit flight recorder's Perfetto dump to this file")
 	tracePath := flag.String("trace", "", "write Chrome trace-event JSON (Perfetto) to this file")
-	metricsPath := flag.String("metrics", "", "write a JSON metrics snapshot to this file")
 	flag.Parse()
 
 	var o *obs.Observer
-	if *tracePath != "" || *metricsPath != "" {
+	if *tracePath != "" {
 		o = obs.New(1 << 18)
 		bench.SetObserver(o)
 	}
@@ -91,7 +90,7 @@ func main() {
 		}
 	}
 	if o != nil {
-		if err := exportObserved(o, *tracePath, *metricsPath); err != nil {
+		if err := createFile(*tracePath, o.Tracer.WriteChromeTrace); err != nil {
 			fatal(err)
 		}
 	}
@@ -114,19 +113,6 @@ func createFile(path string, write func(io.Writer) error) error {
 		return err
 	}
 	return f.Close()
-}
-
-// exportObserved writes the observer's trace and metrics files.
-func exportObserved(o *obs.Observer, tracePath, metricsPath string) error {
-	if tracePath != "" {
-		if err := createFile(tracePath, o.Tracer.WriteChromeTrace); err != nil {
-			return err
-		}
-	}
-	if metricsPath != "" {
-		return createFile(metricsPath, bench.ObservedMetrics().WriteJSON)
-	}
-	return nil
 }
 
 type writerTo interface {

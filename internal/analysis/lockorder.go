@@ -1,9 +1,6 @@
 package analysis
 
-import (
-	"go/ast"
-	"go/types"
-)
+import "go/ast"
 
 // LockOrder machine-checks the documented lock ranking of the concurrent
 // fbuf facility (DESIGN.md §10). Every mutex that matters has a rank:
@@ -24,7 +21,6 @@ import (
 //
 //   - Direct sync.Mutex/RWMutex Lock/RLock calls on a ranked owner-type
 //     field are acquisitions; Unlock/RUnlock releases the matching hold.
-//     The DataPath lock/unlock wrapper methods count as DataPath.mu.
 //   - Deferred unlocks are ignored: the lock is treated as held to the end
 //     of the function, which is exactly the ordering obligation a
 //     defer creates.
@@ -150,55 +146,28 @@ func checkLockOrderBody(pass *Pass, body *ast.BlockStmt) {
 func lockOp(pass *Pass, call *ast.CallExpr) (op, key, inst string) {
 	info := pass.TypesInfo
 	fn := calleeFunc(info, call)
-	if fn == nil {
+	if fn == nil || !(recvTypeIs(fn, "sync", "Mutex") || recvTypeIs(fn, "sync", "RWMutex")) {
 		return "", "", ""
 	}
-	if recvTypeIs(fn, "sync", "Mutex") || recvTypeIs(fn, "sync", "RWMutex") {
-		recv := receiverOf(call)
-		sel, ok := ast.Unparen(recv).(*ast.SelectorExpr)
-		if !ok {
-			return "", "", "" // local or package-level mutex: unranked
-		}
-		named := namedOf(info.TypeOf(sel.X))
-		if named == nil {
-			return "", "", ""
-		}
-		key = named.Obj().Name() + "." + sel.Sel.Name
-		if _, ranked := lockRank[key]; !ranked {
-			return "", "", ""
-		}
-		inst = exprKey(info, recv)
-		switch fn.Name() {
-		case "Lock", "RLock":
-			return "acquire", key, inst
-		case "Unlock", "RUnlock":
-			return "release", key, inst
-		}
-		return "", "", "" // TryLock/TryRLock: cannot block
+	recv := receiverOf(call)
+	sel, ok := ast.Unparen(recv).(*ast.SelectorExpr)
+	if !ok {
+		return "", "", "" // local or package-level mutex: unranked
 	}
-	// The DataPath lock/unlock wrappers are the facility's contended-
-	// acquisition counters around DataPath.mu.
-	if named := recvNamedType(fn); named != nil && named.Obj().Name() == "DataPath" {
-		recv := receiverOf(call)
-		inst = exprKey(info, recv)
-		if inst != "" {
-			inst += ".mu"
-		}
-		switch fn.Name() {
-		case "lock":
-			return "acquire", "DataPath.mu", inst
-		case "unlock":
-			return "release", "DataPath.mu", inst
-		}
+	named := namedOf(info.TypeOf(sel.X))
+	if named == nil {
+		return "", "", ""
 	}
-	return "", "", ""
-}
-
-// recvNamedType returns the named type of fn's receiver, or nil.
-func recvNamedType(fn *types.Func) *types.Named {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return nil
+	key = named.Obj().Name() + "." + sel.Sel.Name
+	if _, ranked := lockRank[key]; !ranked {
+		return "", "", ""
 	}
-	return namedOf(sig.Recv().Type())
+	inst = exprKey(info, recv)
+	switch fn.Name() {
+	case "Lock", "RLock":
+		return "acquire", key, inst
+	case "Unlock", "RUnlock":
+		return "release", key, inst
+	}
+	return "", "", "" // TryLock/TryRLock: cannot block
 }

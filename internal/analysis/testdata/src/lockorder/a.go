@@ -7,9 +7,6 @@ import "sync"
 
 type DataPath struct{ mu sync.Mutex }
 
-func (p *DataPath) lock()   { p.mu.Lock() }
-func (p *DataPath) unlock() { p.mu.Unlock() }
-
 type Manager struct {
 	regionMu sync.Mutex
 	noticeMu sync.Mutex
@@ -36,13 +33,6 @@ func goodNesting(p *DataPath, m *Manager, c *chunk, f *Fbuf) {
 	p.mu.Unlock()
 }
 
-func wrapperCountsAsPathLock(p *DataPath, m *Manager) {
-	p.lock()
-	m.regionMu.Lock()
-	m.regionMu.Unlock()
-	p.unlock()
-}
-
 func sequentialNotNested(m *Manager, f *Fbuf) {
 	f.mu.Lock()
 	f.mu.Unlock()
@@ -61,18 +51,18 @@ func leafAboveEverything(m *Manager, f *Fbuf, a *AddrSpace) {
 
 func armsAreExclusive(p *DataPath, cond bool) {
 	if cond {
-		p.lock()
-		p.unlock()
+		p.mu.Lock()
+		p.mu.Unlock()
 	} else {
-		p.lock()
-		p.unlock()
+		p.mu.Lock()
+		p.mu.Unlock()
 	}
 }
 
 func unrankedIgnored(mu *sync.Mutex, p *DataPath) {
 	mu.Lock() // not in the rank table: invisible
-	p.lock()
-	p.unlock()
+	p.mu.Lock()
+	p.mu.Unlock()
 	mu.Unlock()
 }
 
@@ -93,11 +83,11 @@ func regionThenPath(m *Manager, p *DataPath) {
 	m.regionMu.Unlock()
 }
 
-func fbufThenPathWrapper(f *Fbuf, p *DataPath) {
+func fbufThenPathDeferred(f *Fbuf, p *DataPath) {
 	f.mu.Lock()
 	defer f.mu.Unlock() // deferred: held to function end
-	p.lock()            // want "lock order violation: acquiring DataPath.mu while holding Fbuf.mu"
-	p.unlock()
+	p.mu.Lock()         // want "lock order violation: acquiring DataPath.mu while holding Fbuf.mu"
+	p.mu.Unlock()
 }
 
 func sanitizerThenFbuf(s *Sanitizer, f *Fbuf) {
@@ -183,10 +173,10 @@ func depotTakesShard(d *Depot, s *depotShard) {
 }
 
 func pathThenDepot(p *DataPath, d *Depot) {
-	p.lock()
+	p.mu.Lock()
 	d.mu.Lock() // DepotCharge: path lock strictly before depot locks
 	d.mu.Unlock()
-	p.unlock()
+	p.mu.Unlock()
 }
 
 func twoShardsAllowed(a, b *depotShard) {

@@ -28,13 +28,12 @@ const (
 )
 
 // AuditResult is one latency-attribution run: the critical-path profile,
-// the per-path lock-contention heatmap, the flight recorder (for Perfetto
-// export), and the run's throughput result.
+// the flight recorder (for Perfetto export), and the run's throughput
+// result.
 type AuditResult struct {
-	Profile    *profile.Report
-	Contention []profile.ContentionCell
-	Recorder   *profile.FlightRecorder
-	Result     netsim.Result
+	Profile  *profile.Report
+	Recorder *profile.FlightRecorder
+	Result   netsim.Result
 	// RingStats sums both hosts' ring-plane counters. Doorbells show up as
 	// charged ring-doorbell stage time in the profile; spin hits and drains
 	// consume zero simulated time (that is the point of the ring plane), so
@@ -75,30 +74,20 @@ func Audit() (*AuditResult, error) {
 	fr.ScanEvents()
 
 	var rstats rings.Stats
-	var cells []profile.ContentionCell
 	for _, h := range []*netsim.Host{e.A, e.B} {
 		rstats.Add(h.Env.Router.RingStats())
-		for _, pc := range h.Mgr.ContentionByPath() {
-			cells = append(cells, profile.ContentionCell{
-				Name:      h.Name + "." + pc.Name,
-				Acquires:  pc.Acquires,
-				Contended: pc.Contended,
-			})
-		}
 	}
-	profile.FillRates(cells)
 
 	return &AuditResult{
-		Profile:    prof.Report(),
-		Contention: cells,
-		Recorder:   fr,
-		Result:     res,
-		RingStats:  rstats,
+		Profile:   prof.Report(),
+		Recorder:  fr,
+		Result:    res,
+		RingStats: rstats,
 	}, nil
 }
 
-// WriteTo renders the audit run as text: the attribution tables, the lock
-// heatmap, and any anomalies the flight recorder caught.
+// WriteTo renders the audit run as text: the attribution tables, the ring
+// counters, and any anomalies the flight recorder caught.
 func (a *AuditResult) WriteTo(w io.Writer) (int64, error) {
 	var sb strings.Builder
 	sb.WriteString("Latency attribution: fig5 cached path (user-user, 64KB messages, window 1, ring data plane)\n")
@@ -109,10 +98,6 @@ func (a *AuditResult) WriteTo(w io.Writer) (int64, error) {
 	fmt.Fprintf(&sb, "ring plane: %d submits, %d doorbells (charged), %d spin hits (free), %d drains moved %d entries, %d legacy fallbacks\n",
 		rs.Submits, rs.Doorbells, rs.SpinHits, rs.Drains+rs.CompletionDrains,
 		rs.Drained+rs.CompletionsDrained, rs.SubmitFallbacks+rs.CompleteFallback)
-	sb.WriteString("lock contention by path\n")
-	if err := profile.WriteContentionTable(&sb, a.Contention); err != nil {
-		return 0, err
-	}
 	if an := a.Recorder.Anomalies(); len(an) > 0 {
 		sb.WriteString("anomalies\n")
 		for _, x := range an {

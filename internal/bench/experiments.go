@@ -17,31 +17,11 @@ import (
 
 // observer, when set, is attached to every rig and netsim run the
 // experiments build, so cmd/fbufbench can export the events of a whole
-// benchmark run. Its metrics export (ObservedMetrics) holds the counters
-// and gauges of the most recently built single-host rig.
+// benchmark run.
 var observer *obs.Observer
 
-// lastRig is the most recent single-host rig built while observing.
-var lastRig *rig
-
 // SetObserver installs (or, with nil, removes) the benchmark observer.
-func SetObserver(o *obs.Observer) {
-	observer = o
-	lastRig = nil
-}
-
-// ObservedMetrics snapshots the most recent observed rig's counters and
-// gauges plus the observer's ring statistics; it is empty when no
-// single-host rig was built while observing.
-func ObservedMetrics() obs.Snapshot {
-	snap := obs.NewSnapshot()
-	if observer != nil && lastRig != nil {
-		lastRig.mgr.PublishMetrics(snap)
-		lastRig.sys.PublishMetrics(snap)
-		observer.PublishSelfMetrics(snap)
-	}
-	return snap
-}
+func SetObserver(o *obs.Observer) { observer = o }
 
 // rig is one fresh simulated host for the single-host experiments.
 type rig struct {
@@ -72,7 +52,6 @@ func newRigCost(cost *machine.CostTable) *rig {
 		sys.Obs = observer
 		observer.SetNow(clk.Now)
 		mgr.RegisterTraceNames("")
-		lastRig = r
 	}
 	r.src = reg.New("src")
 	r.dst = reg.New("dst")

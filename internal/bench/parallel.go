@@ -305,8 +305,6 @@ func smpScalingValues() (map[string]float64, *Table, error) {
 			})
 			if w == 4 {
 				vals[fmt.Sprintf("%s 4w lock_wait_us", cfg.name)] = r.lock.wait.Microseconds()
-				vals[fmt.Sprintf("%s 4w lock_acquires", cfg.name)] = float64(r.cont.LockAcquires)
-				vals[fmt.Sprintf("%s 4w lock_contended", cfg.name)] = float64(r.cont.LockContended)
 				if cfg.magazines {
 					vals["magazine 4w magazine_hits"] = float64(r.cont.MagazineHits)
 					vals["magazine 4w magazine_misses"] = float64(r.cont.MagazineMisses)

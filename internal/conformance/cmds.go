@@ -381,8 +381,8 @@ func (r *runner) audit(c Cmd, desc string) *Divergence {
 			if got, want := d.Inventory(), mp.Depot.inventory(); got != want {
 				return r.fail(c, desc, "path %s depot inventory: model %d, implementation %d", mp.Name, want, got)
 			}
-			for s, st := range d.ShardStats() {
-				if got, want := st.Depth, len(mp.Depot.Shards[s]); got != want {
+			for s, got := range d.ShardDepths() {
+				if want := len(mp.Depot.Shards[s]); got != want {
 					return r.fail(c, desc, "path %s depot shard %d depth: model %d, implementation %d", mp.Name, s, want, got)
 				}
 			}

@@ -42,10 +42,6 @@ type Depot struct {
 type depotShard struct {
 	mu   sync.Mutex
 	free []*Fbuf
-
-	// Contention counters (atomic), the raw data of the per-shard heatmap.
-	acquires  uint64
-	contended uint64
 }
 
 // DefaultMagazineCap is the depot unit, and so the capacity of each of a
@@ -105,21 +101,6 @@ func (d *Depot) Unit() int { return d.unit }
 // Shards returns the shard count.
 func (d *Depot) Shards() int { return len(d.shards) }
 
-// lock acquires a shard's lock, counting traffic and contention. The
-// exchanges and drain take it; the diagnostic reads (Inventory,
-// snapshotInventory, ShardStats) take s.mu directly, so reading the counters
-// does not move them.
-func (s *depotShard) lock() {
-	atomic.AddUint64(&s.acquires, 1)
-	if s.mu.TryLock() {
-		return
-	}
-	atomic.AddUint64(&s.contended, 1)
-	s.mu.Lock()
-}
-
-func (s *depotShard) unlock() { s.mu.Unlock() }
-
 // ExchangeEmpty swaps an empty worker magazine for a full unit: the unit
 // stack is popped when possible, otherwise a unit is assembled from the
 // shards (hottest shard order, taking each shard lock once). It returns
@@ -145,7 +126,7 @@ func (d *Depot) ExchangeEmpty() ([]*Fbuf, bool) {
 	unit := make([]*Fbuf, 0, d.unit)
 	for i := 0; i < len(d.shards) && len(unit) < d.unit; i++ {
 		s := d.shards[i]
-		s.lock()
+		s.mu.Lock()
 		take := d.unit - len(unit)
 		if take > len(s.free) {
 			take = len(s.free)
@@ -157,7 +138,7 @@ func (d *Depot) ExchangeEmpty() ([]*Fbuf, bool) {
 			}
 			s.free = s.free[:len(s.free)-take]
 		}
-		s.unlock()
+		s.mu.Unlock()
 	}
 	d.mu.Unlock()
 	if len(unit) == 0 {
@@ -194,9 +175,9 @@ func (d *Depot) ExchangeFull(unit []*Fbuf) {
 	}
 	s := d.shards[d.spillNext%len(d.shards)]
 	d.spillNext++
-	s.lock()
+	s.mu.Lock()
 	s.free = append(s.free, unit...)
-	s.unlock()
+	s.mu.Unlock()
 	d.mu.Unlock()
 	atomic.AddUint64(&m.contention.DepotExchanges, 1)
 	atomic.AddUint64(&m.contention.DepotSpills, 1)
@@ -249,10 +230,10 @@ func (d *Depot) drain() []*Fbuf {
 	}
 	d.full = d.full[:0]
 	for _, s := range d.shards {
-		s.lock()
+		s.mu.Lock()
 		out = append(out, s.free...)
 		s.free = nil
-		s.unlock()
+		s.mu.Unlock()
 	}
 	d.mu.Unlock()
 	return out
@@ -275,9 +256,9 @@ func (p *DataPath) DepotCharge(n int) int {
 	if d == nil || n <= 0 {
 		return 0
 	}
-	p.lock()
+	p.mu.Lock()
 	if p.closed {
-		p.unlock()
+		p.mu.Unlock()
 		return 0
 	}
 	if n > len(p.free) {
@@ -289,7 +270,7 @@ func (p *DataPath) DepotCharge(n int) int {
 		p.free[j] = nil
 	}
 	p.free = p.free[:len(p.free)-n]
-	p.unlock()
+	p.mu.Unlock()
 	d.ExchangeFull(unit)
 	return n
 }
@@ -307,35 +288,25 @@ func (p *DataPath) DepotDischarge() int {
 	if len(inv) == 0 {
 		return 0
 	}
-	p.lock()
+	p.mu.Lock()
 	if p.closed {
-		p.unlock()
+		p.mu.Unlock()
 		for _, f := range inv {
 			p.mgr.teardownStashed(f)
 		}
 		return 0
 	}
 	p.free = append(p.free, inv...)
-	p.unlock()
+	p.mu.Unlock()
 	return len(inv)
 }
 
-// DepotShardStat is one shard's contention and depth snapshot, the raw rows
-// of the per-shard contention heatmap.
-type DepotShardStat struct {
-	Acquires  uint64
-	Contended uint64
-	Depth     int
-}
-
-// ShardStats snapshots every shard's lock traffic and current depth.
-func (d *Depot) ShardStats() []DepotShardStat {
-	out := make([]DepotShardStat, len(d.shards))
+// ShardDepths snapshots every shard's current depth.
+func (d *Depot) ShardDepths() []int {
+	out := make([]int, len(d.shards))
 	for i, s := range d.shards {
-		out[i].Acquires = atomic.LoadUint64(&s.acquires)
-		out[i].Contended = atomic.LoadUint64(&s.contended)
 		s.mu.Lock()
-		out[i].Depth = len(s.free)
+		out[i] = len(s.free)
 		s.mu.Unlock()
 	}
 	return out

@@ -119,9 +119,9 @@ func (g *Magazine) Alloc() (*Fbuf, error) {
 		f.resetLive(p.Originator())
 		return f, nil
 	}
-	p.lock()
+	p.mu.Lock()
 	if p.closed {
-		p.unlock()
+		p.mu.Unlock()
 		g.mergeCounters()
 		return nil, ErrPathClosed
 	}
@@ -136,7 +136,7 @@ func (g *Magazine) Alloc() (*Fbuf, error) {
 		p.free = p.free[:len(p.free)-take]
 		g.refills++
 	}
-	p.unlock()
+	p.mu.Unlock()
 	g.mergeCounters()
 	if len(g.stash) > 0 {
 		f := g.popStash()
@@ -225,13 +225,13 @@ func (g *Magazine) Drain() {
 		inv = append(g.prev, g.stash...)
 	}
 	g.prev, g.stash = nil, inv[:0]
-	p.lock()
+	p.mu.Lock()
 	if p.closed {
 		// Recycles were already counted when the buffers entered the
 		// magazine, so hand the teardown machinery raw buffers without
 		// re-counting.
 		g.mergeCounters()
-		p.unlock()
+		p.mu.Unlock()
 		for _, f := range inv {
 			p.mgr.teardownStashed(f)
 		}
@@ -242,7 +242,7 @@ func (g *Magazine) Drain() {
 		g.flushes++
 	}
 	g.mergeCounters()
-	p.unlock()
+	p.mu.Unlock()
 }
 
 // mergeCounters merges the deferred local counters into the shared Stats
@@ -278,14 +278,5 @@ func (m *Manager) teardownStashed(f *Fbuf) {
 	if m.san != nil {
 		m.san.verifyReuse(f)
 	}
-	f.mu.Lock()
-	m.unmapAllLocked(f)
-	m.releaseFrames(f)
-	f.clearRefs()
-	f.mu.Unlock()
-	f.setState(StateFree)
-	f.total.Store(0)
-	f.setSecured(false)
-	m.Sys.Sink().Charge(m.Sys.Cost.VAFree)
-	m.removeFromChunk(f)
+	m.teardown(f)
 }

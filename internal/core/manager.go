@@ -111,8 +111,8 @@ type Manager struct {
 	// operation.
 	stats Stats
 
-	// contention counts lock traffic and magazine cache behavior
-	// (published as the smp.* metric group). All fields are atomic.
+	// contention counts magazine, depot and epoch traffic (published as
+	// the smp.* metric group). All fields are atomic.
 	contention Contention
 
 	// epoch is the epoch-based frame-reclamation state (epoch.go). Inert —
@@ -120,16 +120,11 @@ type Manager struct {
 	epoch epochState
 }
 
-// Contention is the SMP diagnostics counter group: shared-lock traffic on
-// the path allocators and the hit/refill behavior of per-worker magazines.
-// In the single-threaded default mode LockContended is always zero and
-// every counter is deterministic.
+// Contention is the SMP diagnostics counter group: the hit/refill behavior
+// of per-worker magazines, depot exchanges and epoch reclamation. Host-lock
+// waits are not counted; bench's simulated-SMP harness models them on
+// virtual clocks.
 type Contention struct {
-	// LockAcquires counts path free-list lock acquisitions.
-	LockAcquires uint64
-	// LockContended counts acquisitions that found the lock held
-	// (TryLock failed and the caller had to wait).
-	LockContended uint64
 	// MagazineHits counts allocations served from a per-worker magazine
 	// stash without touching any shared lock.
 	MagazineHits uint64
@@ -163,8 +158,6 @@ type Contention struct {
 // ContentionSnapshot returns an atomic copy of the contention counters.
 func (m *Manager) ContentionSnapshot() Contention {
 	return Contention{
-		LockAcquires:    atomic.LoadUint64(&m.contention.LockAcquires),
-		LockContended:   atomic.LoadUint64(&m.contention.LockContended),
 		MagazineHits:    atomic.LoadUint64(&m.contention.MagazineHits),
 		MagazineMisses:  atomic.LoadUint64(&m.contention.MagazineMisses),
 		MagazineRefills: atomic.LoadUint64(&m.contention.MagazineRefills),
@@ -344,8 +337,6 @@ func (m *Manager) PublishMetrics(snap obs.Snapshot) {
 	c["core.path_evictions"] = s.PathEvictions
 	c["core.admission_rejects"] = s.AdmissionRejects
 	ct := m.ContentionSnapshot()
-	c["smp.lock_acquires"] = ct.LockAcquires
-	c["smp.lock_contended"] = ct.LockContended
 	c["smp.magazine_hits"] = ct.MagazineHits
 	c["smp.magazine_misses"] = ct.MagazineMisses
 	c["smp.magazine_refills"] = ct.MagazineRefills
@@ -359,11 +350,8 @@ func (m *Manager) PublishMetrics(snap obs.Snapshot) {
 		snap.Gauges[p.metricPrefix()+"free_depth"] = int64(p.FreeListLen())
 		if d := p.depot; d != nil {
 			snap.Gauges[p.metricPrefix()+"depot_inventory"] = int64(d.Inventory())
-			for i, ss := range d.ShardStats() {
-				pre := fmt.Sprintf("%sdepot_shard.%d.", p.metricPrefix(), i)
-				c[pre+"acquires"] = ss.Acquires
-				c[pre+"contended"] = ss.Contended
-				snap.Gauges[pre+"depth"] = int64(ss.Depth)
+			for i, depth := range d.ShardDepths() {
+				snap.Gauges[fmt.Sprintf("%sdepot_shard.%d.depth", p.metricPrefix(), i)] = int64(depth)
 			}
 		}
 	}

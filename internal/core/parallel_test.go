@@ -465,57 +465,6 @@ func TestMagazineCounters(t *testing.T) {
 	r.check(t)
 }
 
-// TestDepotDiagnosticsUncounted pins that reading a depot does not count
-// as shard traffic: Inventory, ShardStats and the invariant walk take the
-// shard locks without moving Acquires, so a metrics snapshot cannot inflate
-// the next one, while a spilling ExchangeFull still counts its acquire.
-func TestDepotDiagnosticsUncounted(t *testing.T) {
-	r := newRig(t)
-	p := r.path(t, CachedVolatile(), 1)
-	d := p.EnableDepot(1, 2)
-	d.SetMaxFull(1)
-	acquires := func() []uint64 {
-		var out []uint64
-		for _, s := range d.ShardStats() {
-			out = append(out, s.Acquires)
-		}
-		return out
-	}
-
-	d.Inventory()
-	d.ShardStats()
-	r.check(t)
-	if got := acquires(); got[0] != 0 || got[1] != 0 {
-		t.Fatalf("idle depot after Inventory, ShardStats and CheckInvariants: acquires %v, want [0 0]", got)
-	}
-
-	// Two free fbufs on the path list, charged one unit at a time: the
-	// first fills the one-unit stack, the second spills into shard 0.
-	a, err := p.Alloc()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := p.Alloc()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range []*Fbuf{a, b} {
-		if err := r.mgr.Free(f, r.src); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if p.DepotCharge(1) != 1 || p.DepotCharge(1) != 1 {
-		t.Fatal("DepotCharge moved nothing")
-	}
-	if n := d.Inventory(); n != 2 {
-		t.Fatalf("Inventory = %d after two charges, want 2", n)
-	}
-	r.check(t)
-	if got := acquires(); got[0] != 1 || got[1] != 0 {
-		t.Fatalf("after one spill: acquires %v, want [1 0]", got)
-	}
-}
-
 // TestMagazineFallbacks pins the slow paths: foreign-path and partial-drop
 // frees route through the manager, and a magazine over an uncached path
 // never stashes.

@@ -37,8 +37,7 @@ type DataPath struct {
 	// mu guards the shared allocator state: the free list, the chunk
 	// list, the closed flag, and Allocated. It is the path's one shared
 	// lock; per-worker magazines exist to keep steady-state alloc/free
-	// off it entirely. Acquire through lock()/unlock() so contention is
-	// counted.
+	// off it entirely.
 	mu     sync.Mutex
 	free   []*Fbuf // LIFO: most recently freed first (most likely resident)
 	chunks []*chunk
@@ -75,11 +74,6 @@ type DataPath struct {
 	// Alloc's own increment (the PR 4 latent bug). Read it via
 	// AllocatedCount.
 	Allocated uint64
-
-	// Per-path shared-lock contention counters (the heatmap's raw data),
-	// alongside the manager-global Contention totals.
-	lockAcquires  uint64
-	lockContended uint64
 }
 
 // NewPath creates a data path. fbufPages is the fixed fbuf size for the
@@ -160,55 +154,17 @@ func (p *DataPath) Pinned() bool { return p.pinned.Load() }
 // Evictions returns how many times the path cache demoted this path.
 func (p *DataPath) Evictions() uint64 { return p.evictions.Load() }
 
-// lock acquires the path's shared allocator lock, counting traffic and
-// contention (a failed TryLock means another worker held the lock).
-func (p *DataPath) lock() {
-	atomic.AddUint64(&p.mgr.contention.LockAcquires, 1)
-	atomic.AddUint64(&p.lockAcquires, 1)
-	if p.mu.TryLock() {
-		return
-	}
-	atomic.AddUint64(&p.mgr.contention.LockContended, 1)
-	atomic.AddUint64(&p.lockContended, 1)
-	p.mu.Lock()
-}
-
-// PathContention is one path's shared-lock traffic, the raw material for
-// the profiler's contention heatmap.
-type PathContention struct {
-	Name      string
-	Acquires  uint64
-	Contended uint64
-}
-
-// ContentionByPath snapshots per-path lock contention for the open paths,
-// in ascending path ID order.
-func (m *Manager) ContentionByPath() []PathContention {
-	paths := m.pathsByID()
-	out := make([]PathContention, 0, len(paths))
-	for _, p := range paths {
-		out = append(out, PathContention{
-			Name:      p.Name,
-			Acquires:  atomic.LoadUint64(&p.lockAcquires),
-			Contended: atomic.LoadUint64(&p.lockContended),
-		})
-	}
-	return out
-}
-
-func (p *DataPath) unlock() { p.mu.Unlock() }
-
 // isClosed reads the closed flag under the path lock.
 func (p *DataPath) isClosed() bool {
-	p.lock()
-	defer p.unlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	return p.closed
 }
 
 // FreeListLen returns the current free-list depth (tests, reclamation).
 func (p *DataPath) FreeListLen() int {
-	p.lock()
-	defer p.unlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	return len(p.free)
 }
 
@@ -253,7 +209,7 @@ func (p *DataPath) Alloc() (*Fbuf, error) {
 		o.SpanBegin(span.StageAlloc, "core", int(p.Originator().ID)+m.Sys.TraceBase, int64(p.fbufPages))
 		defer o.SpanEnd()
 	}
-	p.lock()
+	p.mu.Lock()
 	atomic.AddUint64(&m.stats.Allocs, 1)
 	atomic.AddUint64(&p.Allocated, 1)
 	if p.opts.Cached {
@@ -267,7 +223,7 @@ func (p *DataPath) Alloc() (*Fbuf, error) {
 				p.free = p.free[:n-1]
 			}
 			depth := len(p.free)
-			p.unlock()
+			p.mu.Unlock()
 			if m.san != nil {
 				m.san.verifyReuse(f)
 			}
@@ -322,7 +278,7 @@ func (p *DataPath) carveLocked() (*Fbuf, error) {
 	}
 	if c == nil {
 		if q := p.Quota(); q > 0 && len(p.chunks) >= q {
-			p.unlock()
+			p.mu.Unlock()
 			return nil, ErrQuota
 		}
 		// Per-tenant admission sits between the per-path quota and the
@@ -330,7 +286,7 @@ func (p *DataPath) carveLocked() (*Fbuf, error) {
 		// because its tenant class's weighted share of the region is spent.
 		if t := p.tenant; t != nil && m.admission != nil {
 			if !m.admission.admit(t) {
-				p.unlock()
+				p.mu.Unlock()
 				atomic.AddUint64(&m.stats.AdmissionRejects, 1)
 				m.emit(obs.EvAdmissionReject, p.Originator(), nil, int64(p.ID))
 				return nil, ErrAdmission
@@ -342,7 +298,7 @@ func (p *DataPath) carveLocked() (*Fbuf, error) {
 			if t := p.tenant; t != nil && m.admission != nil {
 				m.admission.release(t) // grant failed: refund the charge
 			}
-			p.unlock()
+			p.mu.Unlock()
 			return nil, err
 		}
 		p.chunks = append(p.chunks, c)
@@ -353,7 +309,7 @@ func (p *DataPath) carveLocked() (*Fbuf, error) {
 	c.fbufs = append(c.fbufs, f)
 	c.setPages(f, f)
 	c.mu.Unlock()
-	p.unlock()
+	p.mu.Unlock()
 	m.emit(obs.EvCarve, p.Originator(), f, int64(p.fbufPages))
 	if p.opts.Populate {
 		if err := m.populate(f); err != nil {
@@ -396,9 +352,9 @@ func (p *DataPath) AllocBatch(out []*Fbuf) (int, error) {
 	filled := 0
 	if p.opts.Cached {
 		var ferr error
-		p.lock()
+		p.mu.Lock()
 		if p.closed {
-			p.unlock()
+			p.mu.Unlock()
 			return 0, ErrPathClosed
 		}
 		// Pops go straight into out; pop i leaves depth-i-1 fbufs on
@@ -423,7 +379,7 @@ func (p *DataPath) AllocBatch(out []*Fbuf) (int, error) {
 			}
 			filled++
 		}
-		p.unlock()
+		p.mu.Unlock()
 		// Reuse verification, state reset, and events happen outside the
 		// lock, in pop order.
 		for i, f := range out[:filled] {
@@ -903,17 +859,17 @@ func (m *Manager) recycleB(f *Fbuf, batch *recycleBatch) {
 				return
 			}
 		}
-		p.lock()
+		p.mu.Lock()
 		if !p.closed {
 			m.resetForFreeList(f)
 			p.free = append(p.free, f) // LIFO push
 			if m.san != nil {
 				m.san.poisonFree(f)
 			}
-			p.unlock()
+			p.mu.Unlock()
 			return
 		}
-		p.unlock()
+		p.mu.Unlock()
 	}
 	// Full teardown (uncached, or path closed / originator dead).
 	m.teardown(f)
@@ -968,9 +924,9 @@ func (m *Manager) flushRecycleBatch(b *recycleBatch) {
 		return
 	}
 	p := b.path
-	p.lock()
+	p.mu.Lock()
 	p.free = append(p.free, b.fbufs...) // LIFO push, batch order preserved
-	p.unlock()
+	p.mu.Unlock()
 	b.fbufs = nil
 }
 
@@ -1024,8 +980,8 @@ func (m *Manager) removeFromChunk(f *Fbuf) {
 		return
 	}
 	if p := c.owner; p != nil {
-		p.lock()
-		defer p.unlock()
+		p.mu.Lock()
+		defer p.mu.Unlock()
 		i := slices.Index(p.chunks, c)
 		if i < 0 || !c.empty() {
 			return
@@ -1063,7 +1019,7 @@ func (m *Manager) pathsByID() []*DataPath {
 func (m *Manager) ReclaimIdle(maxFrames int) int {
 	reclaimed := 0
 	for _, p := range m.pathsByID() {
-		p.lock()
+		p.mu.Lock()
 		for i := 0; i < len(p.free) && reclaimed < maxFrames; i++ {
 			f := p.free[i] // front = least recently freed under LIFO push-to-back
 			f.mu.Lock()
@@ -1094,7 +1050,7 @@ func (m *Manager) ReclaimIdle(maxFrames int) int {
 				break
 			}
 		}
-		p.unlock()
+		p.mu.Unlock()
 	}
 	return reclaimed
 }
@@ -1178,15 +1134,15 @@ func (m *Manager) domainDied(d *domain.Domain) {
 // the free list is torn down; live fbufs drain through the normal
 // free/notice flow and are then fully released because the path is closed.
 func (m *Manager) ClosePath(p *DataPath) {
-	p.lock()
+	p.mu.Lock()
 	if p.closed {
-		p.unlock()
+		p.mu.Unlock()
 		return
 	}
 	p.closed = true
 	freeList := p.free
 	p.free = nil
-	p.unlock()
+	p.mu.Unlock()
 	for _, f := range freeList {
 		m.recycle(f) // path closed: full teardown
 	}

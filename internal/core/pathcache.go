@@ -157,14 +157,14 @@ func (m *Manager) cacheForget(id int) {
 // installed); its next Alloc re-primes the allocator at cache-miss cost.
 // Returns the number of fbufs torn down.
 func (m *Manager) EvictPath(p *DataPath) int {
-	p.lock()
+	p.mu.Lock()
 	if p.closed {
-		p.unlock()
+		p.mu.Unlock()
 		return 0
 	}
 	freeList := p.free
 	p.free = nil
-	p.unlock()
+	p.mu.Unlock()
 	if d := p.depot; d != nil {
 		freeList = append(freeList, d.drain()...)
 	}

@@ -13,8 +13,7 @@
 // spans overlap (a PDU on the link while the CPU builds the next one),
 // which a naive per-span sum would double-count.
 //
-// The package also hosts the flight recorder (flightrec.go) and the lock
-// contention heatmap renderer (contention.go).
+// The package also hosts the flight recorder (flightrec.go).
 package profile
 
 import (

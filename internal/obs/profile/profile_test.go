@@ -166,37 +166,3 @@ func TestProfilerNilAndEmpty(t *testing.T) {
 		t.Fatalf("empty report text = %q", buf.String())
 	}
 }
-
-func TestContentionTable(t *testing.T) {
-	var buf bytes.Buffer
-	cells := []ContentionCell{
-		{Name: "path0", Acquires: 100, Contended: 50},
-		{Name: "path1", Acquires: 1000, Contended: 1},
-		{Name: "idle", Acquires: 0},
-	}
-	if err := WriteContentionTable(&buf, cells); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if strings.Contains(out, "idle") {
-		t.Fatal("zero-acquire cell rendered")
-	}
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("lines = %d, want header + 2 rows:\n%s", len(lines), out)
-	}
-	if !strings.Contains(lines[1], "path0") || !strings.Contains(lines[1], "##########") {
-		t.Fatalf("hottest row wrong: %q", lines[1])
-	}
-	if !strings.Contains(lines[2], "#") {
-		t.Fatalf("contended-at-all row must be visibly warm: %q", lines[2])
-	}
-
-	buf.Reset()
-	if err := WriteContentionTable(&buf, nil); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "no lock acquires") {
-		t.Fatalf("empty table = %q", buf.String())
-	}
-}

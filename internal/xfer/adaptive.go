@@ -20,6 +20,14 @@ type AdaptiveStats struct {
 	ProbeFailures uint64
 }
 
+// Degraded-mode probe tuning: each probe first tears down at most
+// reclaimPerProbe idle chunks, and failed probes back the interval off to
+// at most backoffCap times RetryEvery.
+const (
+	reclaimPerProbe = 1
+	backoffCap      = 8
+)
+
 // Adaptive is the graceful-degradation facility: it rides the fbuf fast
 // path until an allocation-exhaustion error (core.IsAllocFailure — path
 // quota, fbuf region, or physical frame pool), then transparently falls
@@ -38,16 +46,12 @@ type Adaptive struct {
 	mgr *core.Manager
 
 	// RetryEvery is the number of degraded hops between fast-path probes
-	// (default 4). ReclaimPerProbe bounds chunks torn down before each
-	// probe (default 1). BackoffCap bounds the exponential probe backoff:
-	// each failed probe doubles the interval, up to RetryEvery*BackoffCap
-	// hops; entering degradation (and every recovery) resets the interval
-	// to RetryEvery. Default 8; 1 disables backoff. A saturated manager
+	// (default 4). Each failed probe doubles the interval, up to
+	// RetryEvery*backoffCap hops; entering degradation (and every
+	// recovery) resets the interval to RetryEvery. A saturated manager
 	// is thus probed ever more rarely instead of paying a reclaim plus a
 	// doomed allocation every RetryEvery hops for the whole episode.
-	RetryEvery      int
-	ReclaimPerProbe int
-	BackoffCap      int
+	RetryEvery int
 
 	Stats AdaptiveStats
 
@@ -68,7 +72,7 @@ func NewAdaptive(mgr *core.Manager, src, dst *domain.Domain, opts core.Options, 
 	if err != nil {
 		return nil, err
 	}
-	return &Adaptive{fb: fb, cp: cp, mgr: mgr, RetryEvery: 4, ReclaimPerProbe: 1, BackoffCap: 8}, nil
+	return &Adaptive{fb: fb, cp: cp, mgr: mgr, RetryEvery: 4}, nil
 }
 
 func (a *Adaptive) Name() string  { return "adaptive-" + a.fb.label }
@@ -114,7 +118,7 @@ func (a *Adaptive) hop(payload []byte) ([]byte, error) {
 		a.sinceProbe++
 		if a.sinceProbe >= a.probeInterval {
 			a.sinceProbe = 0
-			a.mgr.ReclaimIdle(a.ReclaimPerProbe)
+			a.mgr.ReclaimIdle(reclaimPerProbe)
 			out, err := a.fbufOnce(payload)
 			if err == nil {
 				a.degraded = false
@@ -130,14 +134,7 @@ func (a *Adaptive) hop(payload []byte) ([]byte, error) {
 			// Failed probe: back off exponentially so a saturated
 			// manager is not hammered for the whole episode.
 			a.Stats.ProbeFailures++
-			a.probeInterval *= 2
-			cap := a.RetryEvery * a.BackoffCap
-			if cap < a.RetryEvery {
-				cap = a.RetryEvery // BackoffCap < 1: backoff disabled
-			}
-			if a.probeInterval > cap {
-				a.probeInterval = cap
-			}
+			a.probeInterval = min(2*a.probeInterval, a.RetryEvery*backoffCap)
 		}
 	}
 	a.Stats.CopyHops++

@@ -10,9 +10,10 @@ import (
 
 // TestAdaptiveProbeBackoff pins the degraded-mode probe schedule: the
 // interval starts at RetryEvery, doubles on every failed probe, and caps
-// at RetryEvery*BackoffCap. With RetryEvery=2, BackoffCap=4 the probes in
-// a long drought land on degraded hops 2, 6, 14, 22, 30 — five failures
-// where an unbacked-off facility would have burned fifteen.
+// at RetryEvery*backoffCap. With RetryEvery=2 the cap is 16 hops, so the
+// probes in a long drought land on degraded hops 2, 6, 14, 30, 46, 62 —
+// six failures where an unbacked-off facility would have burned 31, and
+// one more than an uncapped doubling (2, 6, 14, 30, 62).
 func TestAdaptiveProbeBackoff(t *testing.T) {
 	r := newRig(t)
 	a, err := NewAdaptive(r.mgr, r.src, r.dst, core.CachedVolatile(), machine.PageSize)
@@ -20,14 +21,13 @@ func TestAdaptiveProbeBackoff(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.RetryEvery = 2
-	a.BackoffCap = 4
 
 	plane := faults.NewPlane(11)
 	plane.SetRate(faults.PathAlloc, 1_000_000)
 	r.sys.FaultPlane = plane
 
-	// Hop 1 degrades; 30 more ride the copy path through the drought.
-	for i := 0; i < 31; i++ {
+	// Hop 1 degrades; 62 more ride the copy path through the drought.
+	for i := 0; i < 63; i++ {
 		if err := a.Hop(); err != nil {
 			t.Fatalf("drought hop %d: %v", i, err)
 		}
@@ -35,8 +35,8 @@ func TestAdaptiveProbeBackoff(t *testing.T) {
 	if !a.Degraded() {
 		t.Fatal("still droughted, should be degraded")
 	}
-	if a.Stats.ProbeFailures != 5 {
-		t.Fatalf("ProbeFailures = %d after 30 degraded hops, want 5 (backed off)", a.Stats.ProbeFailures)
+	if a.Stats.ProbeFailures != 6 {
+		t.Fatalf("ProbeFailures = %d after 62 degraded hops, want 6 (backed off, capped)", a.Stats.ProbeFailures)
 	}
 	if a.Stats.Episodes != 1 {
 		t.Fatalf("Episodes = %d, want 1", a.Stats.Episodes)
@@ -45,7 +45,7 @@ func TestAdaptiveProbeBackoff(t *testing.T) {
 	// The fault lifts; the next probe is at most a capped interval away.
 	plane.SetRate(faults.PathAlloc, 0)
 	recovered := false
-	for i := 0; i < a.RetryEvery*a.BackoffCap; i++ {
+	for i := 0; i < a.RetryEvery*backoffCap; i++ {
 		if err := a.Hop(); err != nil {
 			t.Fatalf("recovery hop %d: %v", i, err)
 		}
@@ -73,31 +73,5 @@ func TestAdaptiveProbeBackoff(t *testing.T) {
 	}
 	if a.Stats.Episodes != 2 {
 		t.Fatalf("Episodes = %d, want 2", a.Stats.Episodes)
-	}
-}
-
-// TestAdaptiveBackoffDisabled: BackoffCap<=1 keeps the legacy fixed
-// cadence.
-func TestAdaptiveBackoffDisabled(t *testing.T) {
-	r := newRig(t)
-	a, err := NewAdaptive(r.mgr, r.src, r.dst, core.CachedVolatile(), machine.PageSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.RetryEvery = 2
-	a.BackoffCap = 1
-
-	plane := faults.NewPlane(11)
-	plane.SetRate(faults.PathAlloc, 1_000_000)
-	r.sys.FaultPlane = plane
-
-	for i := 0; i < 21; i++ {
-		if err := a.Hop(); err != nil {
-			t.Fatalf("drought hop %d: %v", i, err)
-		}
-	}
-	// 20 degraded hops at a fixed interval of 2: probes at 2,4,...,20.
-	if a.Stats.ProbeFailures != 10 {
-		t.Fatalf("ProbeFailures = %d with backoff disabled, want 10", a.Stats.ProbeFailures)
 	}
 }
