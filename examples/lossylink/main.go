@@ -1,9 +1,10 @@
-// Lossylink: reliable bulk transfer over a corrupting network. Two
+// Lossylink: reliable bulk transfer over a lossy network. Two
 // simulated DecStations run the full stack — sliding-window transport
-// (SWP) over UDP/IP over the Osiris ATM adapters — while the null modem
-// corrupts every Nth PDU. Retransmission clones (the paper's stated reason
-// immutable fbufs need copy semantics: "the passing layer ... may need to
-// retransmit it sometime in the future") carry the transfer to completion.
+// (SWP) over UDP/IP over the Osiris ATM adapters — while the fault plane
+// drops about one PDU in N on each direction of the null modem.
+// Retransmission clones (the paper's stated reason immutable fbufs need
+// copy semantics: "the passing layer ... may need to retransmit it
+// sometime in the future") carry the transfer to completion.
 //
 //	go run ./examples/lossylink
 package main
@@ -15,12 +16,13 @@ import (
 	"os"
 
 	"fbufs"
+	"fbufs/internal/faults"
 	"fbufs/internal/netsim"
 )
 
 // Run performs the reliable transfer with a 1-in-dropEvery PDU loss rate
-// (0 = lossless), printing the summary line to w, and returns the
-// two-host rig for inspection.
+// on both links (0 = lossless), printing the summary line to w, and
+// returns the two-host rig for inspection.
 func Run(w io.Writer, dropEvery int) (*netsim.E2E, netsim.Result, error) {
 	cfg := netsim.Config{
 		Placement: netsim.UserUser,
@@ -29,7 +31,11 @@ func Run(w io.Writer, dropEvery int) (*netsim.E2E, netsim.Result, error) {
 		MsgBytes:  64 * 1024,
 		Count:     16,
 		UseSWP:    true,
-		DropEvery: dropEvery,
+	}
+	if dropEvery > 0 {
+		cfg.Faults = faults.NewPlane(1)
+		cfg.Faults.Link(netsim.LinkAB).DropPerMillion = 1_000_000 / uint32(dropEvery)
+		cfg.Faults.Link(netsim.LinkBA).DropPerMillion = 1_000_000 / uint32(dropEvery)
 	}
 	e, err := netsim.NewE2E(cfg)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 
 	"fbufs/internal/core"
 	"fbufs/internal/domain"
+	"fbufs/internal/faults"
 	"fbufs/internal/machine"
 	"fbufs/internal/netsim"
 	"fbufs/internal/simtime"
@@ -364,11 +365,17 @@ func AblationReliableTransport() (*Table, error) {
 		{"SWP transport, clean link", true, 0},
 		{"SWP transport, 1-in-9 PDU loss", true, 9},
 	} {
+		var plane *faults.Plane
+		if cfg.drop > 0 {
+			plane = faults.NewPlane(1)
+			plane.Link(netsim.LinkAB).DropPerMillion = 1_000_000 / uint32(cfg.drop)
+			plane.Link(netsim.LinkBA).DropPerMillion = 1_000_000 / uint32(cfg.drop)
+		}
 		res, err := netsim.Run(netsim.Config{
 			Placement: netsim.UserUser,
 			Opts:      core.CachedVolatile(),
 			PDUBytes:  16 * 1024, MsgBytes: 64 * 1024, Count: 10,
-			UseSWP: cfg.swp, DropEvery: cfg.drop,
+			UseSWP: cfg.swp, Faults: plane,
 		})
 		if err != nil {
 			return nil, err

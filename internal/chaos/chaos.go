@@ -46,8 +46,7 @@ func payload(seed int64, round, i, n int) []byte {
 	p := make([]byte, n)
 	x := uint64(seed)*0x9e3779b97f4a7c15 + uint64(round)*2654435761 + uint64(i)
 	for j := range p {
-		x = x*6364136223846793005 + 1442695040888963407
-		p[j] = byte(x >> 56)
+		p[j] = byte(simtime.SplitMix64(&x) >> 56)
 	}
 	return p
 }

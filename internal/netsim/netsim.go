@@ -92,9 +92,6 @@ type Config struct {
 	// test protocol and UDP: sequence numbers, cumulative acks, and
 	// timer-driven retransmission.
 	UseSWP bool
-	// DropEvery, when positive, makes the link corrupt (drop) every Nth
-	// transmitted PDU. Requires UseSWP for reliable delivery.
-	DropEvery int
 	// Frames is each host's physical memory capacity in page frames
 	// (0: 32768 frames, 128 MB). Only the frames a run allocates cost Go
 	// memory.
@@ -156,12 +153,9 @@ type Host struct {
 	Ack    *protocols.TestProto // acknowledgement endpoint
 	SWP    *protocols.SWP       // reliable transport (Config.UseSWP)
 
-	peer    *Host
-	linkID  int // faults.Plane link id for this host's outgoing direction
-	txCount int
-	dropped int
-	lossRng uint64
-	cfg     Config
+	peer   *Host
+	linkID int // faults.Plane link id for this host's outgoing direction
+	cfg    Config
 	// rxFree are this host's idle receive records (see rxEvent).
 	rxFree []*rxEvent
 
@@ -409,22 +403,6 @@ func (h *Host) Exec(ready simtime.Time, task func() error) error {
 // received it for the last time.
 func (h *Host) transmit(pdu osiris.TxPDU, dmaReady simtime.Time) {
 	peer := h.peer
-	h.txCount++
-	if h.cfg.DropEvery > 0 {
-		// Deterministic pseudo-random loss at rate 1/DropEvery. A strict
-		// every-Nth pattern can alias with a message's PDU count so the
-		// same fragment is lost on every retransmission; an LCG keeps the
-		// run reproducible without that pathology.
-		h.lossRng = h.lossRng*6364136223846793005 + 1442695040888963407
-		if (h.lossRng>>33)%uint64(h.cfg.DropEvery) == 0 {
-			// The link corrupts this PDU: transmit-side bus and link
-			// time are spent, but nothing arrives at the peer.
-			h.dropped++
-			h.Bus.ExecAt(dmaReady, osiris.BusTime(h.cost, len(pdu.Data)), nil)
-			h.Driver.Recycle(pdu.Data)
-			return
-		}
-	}
 	verdict := h.cfg.Faults.LinkVerdict(h.linkID, dmaReady)
 	if verdict != faults.Deliver {
 		if o := h.Sys.Obs; o != nil {
@@ -434,7 +412,6 @@ func (h *Host) transmit(pdu osiris.TxPDU, dmaReady simtime.Time) {
 	if verdict == faults.Drop {
 		// Loss or partition: transmit-side bus and link time are spent,
 		// nothing arrives. SWP sees a missing ack and backs off.
-		h.dropped++
 		h.Bus.ExecAt(dmaReady, osiris.BusTime(h.cost, len(pdu.Data)), nil)
 		h.Driver.Recycle(pdu.Data)
 		return

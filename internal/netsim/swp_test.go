@@ -2,7 +2,33 @@ package netsim
 
 import (
 	"testing"
+
+	"fbufs/internal/faults"
 )
+
+// lossyLinks returns a fault plane that drops about one PDU in every on
+// both directed links of the null modem.
+func lossyLinks(every int) *faults.Plane {
+	p := faults.NewPlane(1)
+	p.Link(LinkAB).DropPerMillion = 1_000_000 / uint32(every)
+	p.Link(LinkBA).DropPerMillion = 1_000_000 / uint32(every)
+	return p
+}
+
+// requireBothLinksDropped fails unless the plane dropped PDUs in both
+// directions, so a run that wires only one link cannot pass.
+func requireBothLinksDropped(t *testing.T, p *faults.Plane) {
+	t.Helper()
+	links := p.LinkSnapshot()
+	if len(links) != 2 {
+		t.Fatalf("plane has %d links, want LinkAB and LinkBA", len(links))
+	}
+	for _, l := range links {
+		if l.Actions[faults.Drop] == 0 {
+			t.Fatalf("link %d dropped none of its %d PDUs", l.Link, l.PDUs)
+		}
+	}
+}
 
 func TestSWPTransportLossless(t *testing.T) {
 	res, err := Run(Config{
@@ -32,7 +58,7 @@ func TestSWPTransportSurvivesLoss(t *testing.T) {
 		MsgBytes:  48 * 1024,
 		Count:     10,
 		UseSWP:    true,
-		DropEvery: 7, // the link corrupts every 7th PDU, both directions
+		Faults:    lossyLinks(7), // about one PDU in 7 lost, both directions
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -44,9 +70,7 @@ func TestSWPTransportSurvivesLoss(t *testing.T) {
 	if res.Delivered != 10 {
 		t.Fatalf("delivered %d of 10 despite retransmission", res.Delivered)
 	}
-	if e.A.dropped == 0 && e.B.dropped == 0 {
-		t.Fatal("lossy link dropped nothing")
-	}
+	requireBothLinksDropped(t, e.Cfg.Faults)
 	if e.A.SWP.Retransmits == 0 {
 		t.Fatal("no retransmissions despite loss")
 	}
@@ -82,13 +106,15 @@ func TestSWPTransportThroughputComparable(t *testing.T) {
 
 func TestLossWithoutSWPLosesMessages(t *testing.T) {
 	// Negative control: the harness scheme has no retransmission, so a
-	// lossy link must surface as missing deliveries.
+	// lossy link must surface as missing deliveries. Two-PDU messages
+	// leave enough of them delivered that B's acks meet the loss too.
 	e, err := NewE2E(Config{Placement: UserUser, Opts: cachedVolatile(),
-		PDUBytes: 16 * 1024, MsgBytes: 48 * 1024, Count: 6, DropEvery: 5})
+		PDUBytes: 16 * 1024, MsgBytes: 16 * 1024, Count: 6, Faults: lossyLinks(5)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.Run(); err == nil {
 		t.Fatal("lossy link without SWP should fail to deliver everything")
 	}
+	requireBothLinksDropped(t, e.Cfg.Faults)
 }
