@@ -40,11 +40,28 @@ type Seg struct {
 	N  int
 }
 
-// Msg is an immutable message: a sequence of segments plus, in integrated
-// mode, the encoded DAG root that represents it in shared fbuf memory.
-// A Msg is a *view held by one domain at a time*; editing operations consume
-// their operands (use-after-consume is reported as an error).
+// Msg is a handle on an immutable message: a sequence of segments plus,
+// in integrated mode, the encoded DAG root that represents it in shared
+// fbuf memory. A Msg is a *view held by one domain at a time*; editing
+// operations consume their operands (use-after-consume is reported as an
+// error).
+//
+// The handle is one pointer to a slot, which holds the message's state.
+// Consuming the message clears the handle, and its slot goes back to the
+// Ctx that created it, whose next message reuses the slot and its lists,
+// as a freed fbuf goes back to its path's free list. Handles are never
+// handed out again, so a stale handle reports ErrConsumed from every
+// method that returns an error, and zero values from the accessors, even
+// once its slot holds another message.
 type Msg struct {
+	s *slot // nil once the message is consumed
+}
+
+// slot holds one message's state. Its lists start in the inline arrays,
+// which hold a header pushed onto a one-fbuf message (two data fbufs and
+// their node fbufs), and keep the capacity they grow to from one message
+// to the next.
+type slot struct {
 	mgr        *core.Manager
 	integrated bool
 	rootVA     vm.VA // 0 in private mode
@@ -53,9 +70,58 @@ type Msg struct {
 	// ndata counts the leading fbufs that back segments, in segment
 	// order; the rest are DAG node fbufs. It is -1 for an Opened view,
 	// whose fbufs are in traversal order (see layout).
-	ndata    int
-	length   int
-	consumed bool
+	ndata  int
+	length int
+	// home is the Ctx whose pool the slot goes back to; nil for a view
+	// built without a Ctx, whose slot is never pooled.
+	home    *Ctx
+	segBuf  [2]Seg
+	fbufBuf [4]*core.Fbuf
+}
+
+// newSlot returns an empty slot whose lists start in its inline arrays.
+func newSlot(home *Ctx) *slot {
+	s := &slot{home: home}
+	s.segs, s.fbufs = s.segBuf[:0], s.fbufBuf[:0]
+	return s
+}
+
+// loose is a message built without a Ctx: its handle and its slot in one
+// object. The slot has no home and is never pooled, so the handle is never
+// reused either.
+type loose struct {
+	h Msg
+	s slot
+}
+
+// newLoose returns a handle on a new slot with no home.
+func newLoose() *Msg {
+	l := new(loose)
+	l.s.segs, l.s.fbufs = l.s.segBuf[:0], l.s.fbufBuf[:0]
+	l.h.s = &l.s
+	return &l.h
+}
+
+// release sends s back to its home pool, its lists emptied but keeping
+// their capacity, once its message is consumed and no edit's result took
+// it over.
+func (s *slot) release() {
+	c := s.home
+	if c == nil {
+		return
+	}
+	if c.Mgr.SanitizerEnabled() {
+		s.poison()
+	}
+	s.segs, s.fbufs = s.segs[:0], s.fbufs[:0]
+	c.pool = append(c.pool, s)
+}
+
+// copyFrom makes s hold o's message, its lists copied into s's.
+func (s *slot) copyFrom(o *slot) {
+	s.mgr, s.integrated, s.rootVA, s.ndata, s.length = o.mgr, o.integrated, o.rootVA, o.ndata, o.length
+	s.segs = append(s.segs[:0], o.segs...)
+	s.fbufs = append(s.fbufs[:0], o.fbufs...)
 }
 
 // Errors.
@@ -64,57 +130,72 @@ var (
 	ErrRange    = errors.New("aggregate: offset out of range")
 )
 
+// spent is what the accessors read through a consumed handle.
+var spent slot
+
+// state returns m's slot, or an empty one once m is consumed.
+func (m *Msg) state() *slot {
+	if m.s == nil {
+		return &spent
+	}
+	return m.s
+}
+
 // Len returns the message length in bytes.
-func (m *Msg) Len() int { return m.length }
+func (m *Msg) Len() int { return m.state().length }
 
 // RootVA returns the DAG root address (integrated mode; 0 otherwise).
-func (m *Msg) RootVA() vm.VA { return m.rootVA }
+func (m *Msg) RootVA() vm.VA { return m.state().rootVA }
 
 // Integrated reports the storage mode.
-func (m *Msg) Integrated() bool { return m.integrated }
+func (m *Msg) Integrated() bool { return m.state().integrated }
 
-// Segs returns the message's segment list (read-only use). Once an edit
-// has consumed the message, its lists belong to the edit's result: Join,
-// Split, ClipHead and Pop may reuse and rewrite them in place.
-func (m *Msg) Segs() []Seg { return m.segs }
+// Segs returns the message's segment list (read-only use). The list is the
+// slot's: once the message is consumed, an edit's result may rewrite it in
+// place (Join, Split, ClipHead and Pop take the slot over), or the slot
+// goes back to its Ctx and the next message there overwrites it. Copy it
+// to keep it.
+func (m *Msg) Segs() []Seg { return m.state().segs }
 
 // Fbufs returns the unique fbufs the message references — the list a
 // non-integrated transfer must marshal ("generate a list of fbufs from the
-// aggregate object", step 2a).
-func (m *Msg) Fbufs() []*core.Fbuf { return m.fbufs }
+// aggregate object", step 2a). It is the slot's, as Segs is.
+func (m *Msg) Fbufs() []*core.Fbuf { return m.state().fbufs }
 
 // NumFbufs returns the descriptor count an IPC transfer of this message
 // carries: the fbuf list in private mode, a single root reference in
 // integrated mode.
 func (m *Msg) NumFbufs() int {
-	if m.integrated {
+	s := m.state()
+	if s.integrated {
 		return 1
 	}
-	return len(m.fbufs)
+	return len(s.fbufs)
 }
 
 // Read copies n=len(buf) bytes starting at off into buf, acting as domain
 // d. Unreachable segments (volatile absence-of-data) read as zeros.
 func (m *Msg) Read(d *domain.Domain, off int, buf []byte) error {
-	if m.consumed {
+	s := m.s
+	if s == nil {
 		return ErrConsumed
 	}
-	if off < 0 || off+len(buf) > m.length {
-		return fmt.Errorf("%w: read [%d,%d) of %d", ErrRange, off, off+len(buf), m.length)
+	if off < 0 || off+len(buf) > s.length {
+		return fmt.Errorf("%w: read [%d,%d) of %d", ErrRange, off, off+len(buf), s.length)
 	}
-	for _, s := range m.segs {
+	for _, sg := range s.segs {
 		if len(buf) == 0 {
 			break
 		}
-		if off >= s.N {
-			off -= s.N
+		if off >= sg.N {
+			off -= sg.N
 			continue
 		}
-		n := s.N - off
+		n := sg.N - off
 		if n > len(buf) {
 			n = len(buf)
 		}
-		if err := d.AS.Read(s.VA+vm.VA(off), buf[:n]); err != nil {
+		if err := d.AS.Read(sg.VA+vm.VA(off), buf[:n]); err != nil {
 			return err
 		}
 		buf = buf[n:]
@@ -125,7 +206,7 @@ func (m *Msg) Read(d *domain.Domain, off int, buf []byte) error {
 
 // ReadAll returns the full message contents.
 func (m *Msg) ReadAll(d *domain.Domain) ([]byte, error) {
-	buf := make([]byte, m.length)
+	buf := make([]byte, m.Len())
 	if err := m.Read(d, 0, buf); err != nil {
 		return nil, err
 	}
@@ -135,17 +216,18 @@ func (m *Msg) ReadAll(d *domain.Domain) ([]byte, error) {
 // Touch reads one word in each page the message occupies — the dummy-
 // protocol consumption pattern from the paper's experiments.
 func (m *Msg) Touch(d *domain.Domain) error {
-	if m.consumed {
+	s := m.s
+	if s == nil {
 		return ErrConsumed
 	}
 	var w [4]byte
-	for _, s := range m.segs {
-		for o := 0; o < s.N; o += 4096 {
+	for _, sg := range s.segs {
+		for o := 0; o < sg.N; o += 4096 {
 			n := 4
-			if s.N-o < 4 {
-				n = s.N - o
+			if sg.N-o < 4 {
+				n = sg.N - o
 			}
-			if err := d.AS.Read(s.VA+vm.VA(o), w[:n]); err != nil {
+			if err := d.AS.Read(sg.VA+vm.VA(o), w[:n]); err != nil {
 				return err
 			}
 		}
@@ -157,11 +239,12 @@ func (m *Msg) Touch(d *domain.Domain) error {
 // copy semantics (the sender keeps its references; Free them explicitly).
 // In the cached steady state this performs no mapping work.
 func (m *Msg) Transfer(from, to *domain.Domain) error {
-	if m.consumed {
+	s := m.s
+	if s == nil {
 		return ErrConsumed
 	}
-	for _, f := range m.fbufs {
-		if err := m.mgr.Transfer(f, from, to); err != nil {
+	for _, f := range s.fbufs {
+		if err := s.mgr.Transfer(f, from, to); err != nil {
 			return err
 		}
 	}
@@ -171,11 +254,12 @@ func (m *Msg) Transfer(from, to *domain.Domain) error {
 // Secure raises protection on all the message's fbufs at a receiver's
 // request (no-ops for trusted originators).
 func (m *Msg) Secure(d *domain.Domain) error {
-	if m.consumed {
+	s := m.s
+	if s == nil {
 		return ErrConsumed
 	}
-	for _, f := range m.fbufs {
-		if err := m.mgr.Secure(f, d); err != nil {
+	for _, f := range s.fbufs {
+		if err := s.mgr.Secure(f, d); err != nil {
 			return err
 		}
 	}
@@ -183,18 +267,21 @@ func (m *Msg) Secure(d *domain.Domain) error {
 }
 
 // Free releases domain d's references to all the message's fbufs and
-// consumes the message view.
+// consumes the message view; its slot goes back to its Ctx.
 func (m *Msg) Free(d *domain.Domain) error {
-	if m.consumed {
+	s := m.s
+	if s == nil {
 		return ErrConsumed
 	}
-	m.consumed = true
-	for _, f := range m.fbufs {
-		if err := m.mgr.Free(f, d); err != nil {
-			return err
+	m.s = nil
+	var err error
+	for _, f := range s.fbufs {
+		if err = s.mgr.Free(f, d); err != nil {
+			break
 		}
 	}
-	return nil
+	s.release()
+	return err
 }
 
 // ViewFor returns the receiving domain's own view of a message whose fbufs
@@ -202,58 +289,54 @@ func (m *Msg) Free(d *domain.Domain) error {
 // the receiving side" step (3c) of a non-integrated transfer. The view
 // covers the same segments and owns the references the transfer granted;
 // the sender's view is untouched and must still be freed by the sender.
+// The view's slot has no home.
 func (m *Msg) ViewFor(d *domain.Domain) (*Msg, error) {
-	if m.consumed {
+	s := m.s
+	if s == nil {
 		return nil, ErrConsumed
 	}
-	v := &Msg{
-		mgr:        m.mgr,
-		integrated: m.integrated,
-		rootVA:     m.rootVA,
-		segs:       append([]Seg(nil), m.segs...),
-		ndata:      m.ndata,
-		length:     m.length,
-	}
-	for _, f := range m.fbufs {
+	for _, f := range s.fbufs {
 		if !f.HeldBy(d) {
 			return nil, fmt.Errorf("aggregate: %w: fbuf %#x not transferred to %s",
 				core.ErrNotHolder, uint64(f.Base), d)
 		}
-		v.fbufs = append(v.fbufs, f)
 	}
+	v := newLoose()
+	v.s.copyFrom(s)
 	return v, nil
 }
 
 // Clone returns an independent view of the same bytes for the same holder,
-// duplicating the fbuf references (used by retransmission buffers).
+// duplicating the fbuf references (used by retransmission buffers). The
+// clone's slot has no home.
 func (m *Msg) Clone(d *domain.Domain) (*Msg, error) {
-	if m.consumed {
+	s := m.s
+	if s == nil {
 		return nil, ErrConsumed
 	}
-	for _, f := range m.fbufs {
-		if err := m.mgr.DupRef(f, d); err != nil {
+	for _, f := range s.fbufs {
+		if err := s.mgr.DupRef(f, d); err != nil {
 			return nil, err
 		}
 	}
-	c := *m
-	c.segs = append([]Seg(nil), m.segs...)
-	c.fbufs = append([]*core.Fbuf(nil), m.fbufs...)
-	return &c, nil
+	c := newLoose()
+	c.s.copyFrom(s)
+	return c, nil
 }
 
-// layout returns m's fbufs as its data fbufs (every fbuf its segments
+// layout returns s's fbufs as its data fbufs (every fbuf its segments
 // reference, once each, in segment order) followed by its node fbufs, and
 // the number of data fbufs. A built message keeps its fbufs in that order.
 // An Opened view keeps the fbufs its domain holds in traversal order, so
 // its layout is gathered afresh into *scratch and may name data fbufs it
 // does not hold.
-func (m *Msg) layout(scratch *[]*core.Fbuf) ([]*core.Fbuf, int) {
-	if m.ndata >= 0 {
-		return m.fbufs, m.ndata
+func (s *slot) layout(scratch *[]*core.Fbuf) ([]*core.Fbuf, int) {
+	if s.ndata >= 0 {
+		return s.fbufs, s.ndata
 	}
-	l := appendData((*scratch)[:0], m.segs)
+	l := appendData((*scratch)[:0], s.segs)
 	n := len(l)
-	for _, f := range m.fbufs {
+	for _, f := range s.fbufs {
 		if !slices.Contains(l[:n], f) {
 			l = append(l, f)
 		}

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"fbufs/internal/core"
@@ -166,7 +168,9 @@ func TestJoinSelfRefused(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fbufs := m.Fbufs()
+		// A copy: m's list is its slot's, which fbsan poisons once m is
+		// freed.
+		fbufs := slices.Clone(m.Fbufs())
 		refs := make([]int, len(fbufs))
 		for i, f := range fbufs {
 			refs[i] = f.Refs()
@@ -856,5 +860,135 @@ func TestDeepJoinChainTraversal(t *testing.T) {
 	}
 	if err := r.mgr.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStaleHandleAfterSlotReuse frees a message, builds the next one on
+// the same Ctx, which takes the freed slot over, and then uses the first
+// message's handle in every way that can fail: each reports ErrConsumed,
+// the accessors read zero values, and the message that owns the slot now
+// keeps its bytes, fbufs and references.
+func TestStaleHandleAfterSlotReuse(t *testing.T) {
+	bothModes(t, func(t *testing.T, r *rig, c *Ctx) {
+		stale, err := c.NewData(pattern(100))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := stale.s
+		if err := stale.Free(r.src); err != nil {
+			t.Fatal(err)
+		}
+		live, err := c.NewData(pattern(300))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if live.s != s {
+			t.Fatal("the next message took another slot, not the freed one")
+		}
+		other, err := c.NewData(pattern(50))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fbufs := slices.Clone(live.Fbufs())
+		refs := make([]int, len(fbufs))
+		for i, f := range fbufs {
+			refs[i] = f.Refs()
+		}
+
+		buf := make([]byte, 8)
+		_, _, popErr := c.Pop(stale, 8)
+		_, _, splitErr := c.Split(stale, 0)
+		uses := []struct {
+			name string
+			err  error
+		}{
+			{"Read", stale.Read(r.src, 0, buf)},
+			{"Touch", stale.Touch(r.src)},
+			{"Transfer", stale.Transfer(r.src, r.dst)},
+			{"Secure", stale.Secure(r.dst)},
+			{"Free", stale.Free(r.src)},
+			{"Clone", second(stale.Clone(r.src))},
+			{"ViewFor", second(stale.ViewFor(r.dst))},
+			{"Join left", second(c.Join(stale, other))},
+			{"Join right", second(c.Join(other, stale))},
+			{"Split", splitErr},
+			{"ClipHead", second(c.ClipHead(stale, 0))},
+			{"ClipTail", second(c.ClipTail(stale, 0))},
+			{"Pop", popErr},
+		}
+		for _, u := range uses {
+			if !errors.Is(u.err, ErrConsumed) {
+				t.Errorf("%s of a stale handle: %v, want ErrConsumed", u.name, u.err)
+			}
+		}
+		if stale.Len() != 0 || stale.RootVA() != 0 || stale.Integrated() || stale.NumFbufs() != 0 ||
+			stale.Segs() != nil || stale.Fbufs() != nil {
+			t.Errorf("stale handle reads Len %d, RootVA %#x, Integrated %v, NumFbufs %d, %d Segs, %d Fbufs; want zero values",
+				stale.Len(), uint64(stale.RootVA()), stale.Integrated(), stale.NumFbufs(), len(stale.Segs()), len(stale.Fbufs()))
+		}
+
+		if got, err := live.ReadAll(r.src); err != nil || !bytes.Equal(got, pattern(300)) {
+			t.Errorf("the slot's new message reads other bytes (%v)", err)
+		}
+		if !slices.Equal(live.Fbufs(), fbufs) {
+			t.Errorf("the slot's new message holds fbufs %v, want %v", live.Fbufs(), fbufs)
+		}
+		for i, f := range fbufs {
+			if f.Refs() != refs[i] {
+				t.Errorf("fbuf %#x has %d references, want %d", uint64(f.Base), f.Refs(), refs[i])
+			}
+		}
+		// Push builds its header before Join refuses the stale operand,
+		// and the header keeps its references, node fbuf included.
+		if _, err := c.Push(stale, pattern(8)); !errors.Is(err, ErrConsumed) {
+			t.Errorf("Push of a stale handle: %v, want ErrConsumed", err)
+		}
+	})
+}
+
+// second returns the error of a (result, error) pair.
+func second[T any](_ T, err error) error { return err }
+
+// TestPooledSlotPoisoned: with fbsan on, a slot going back to its Ctx has
+// its list entries poisoned and its lists dropped, so a caller that kept a
+// freed message's Segs and Fbufs sees the poison, not the entries of the
+// next message, which takes the slot over. A built message holding the
+// poison is reported.
+func TestPooledSlotPoisoned(t *testing.T) {
+	for _, integrated := range []bool{false, true} {
+		r := newRig(t)
+		r.mgr.EnableSanitizer()
+		c := r.ctx(t, integrated, 1)
+		m, err := c.NewData(pattern(5000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, segs, fbufs := m.s, m.Segs(), m.Fbufs()
+		if err := m.Free(r.src); err != nil {
+			t.Fatal(err)
+		}
+		next, err := c.NewData(pattern(6000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if next.s != s {
+			t.Fatalf("integrated=%v: the next message took another slot, not the freed one", integrated)
+		}
+		for i, sg := range segs {
+			if sg != poisonSeg {
+				t.Errorf("integrated=%v: kept seg %d reads %+v, want the poison", integrated, i, sg)
+			}
+		}
+		for i, f := range fbufs {
+			if f != nil {
+				t.Errorf("integrated=%v: kept fbuf %d reads %#x, want nil", integrated, i, uint64(f.Base))
+			}
+		}
+		if err := c.validateMsg(&slot{segs: segs}); err == nil || !strings.Contains(err.Error(), "poison") {
+			t.Errorf("integrated=%v: validating poisoned segments: %v, want the poison reported", integrated, err)
+		}
+		if err := next.Free(r.src); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -16,7 +16,14 @@ import (
 // operations, the data-path allocator its buffers come from, and — in
 // integrated mode — the arena of node fbufs its DAG nodes are written to.
 // Each software layer that edits messages (a protocol attaching headers, a
-// driver wrapping received PDUs) owns a Ctx in its domain.
+// driver wrapping received PDUs, a proxy opening what crosses into its
+// domain) owns a Ctx in its domain.
+//
+// A Ctx is also the home of the message slots it creates. A consumed
+// message's slot goes back to its home's LIFO pool, whichever Ctx's edit
+// consumed it, and the home's next message reuses it; a Ctx creates a slot
+// only when its pool is empty. A Ctx and the messages whose slots it
+// holds are used by one goroutine at a time.
 type Ctx struct {
 	Mgr *core.Manager
 	Dom *domain.Domain
@@ -49,55 +56,46 @@ type Ctx struct {
 	segBuf   []Seg
 	// lists gathers fbuf lists: fromSegs's, or Join's operand layouts.
 	lists [2][]*core.Fbuf
+	// frames is Open's traversal stack.
+	frames []frame
 
-	// Bump slabs every Msg the Ctx builds, and its segment and fbuf
-	// lists, are carved from (see carve). A carve is never handed out
-	// again, so a consumed Msg stays consumed and its lists stay its own
-	// until the edit that consumed it takes them over (Join, Split,
-	// ClipHead); the GC frees a slab once nothing carved from it is
-	// reachable.
-	msgSlab  []Msg
-	segSlab  []Seg
-	fbufSlab []*core.Fbuf
-	// hdrSlab is carved the same way for the headers Pop returns.
+	// pool holds the idle slots this Ctx created, last in first out.
+	pool []*slot
+	// handles is the slab new handles are cut from. A handle is never
+	// handed out again, so a consumed one stays consumed.
+	handles []Msg
+	// hdrSlab is the slab Pop's headers are cut from, also never handed
+	// out again: a popped header stays the caller's.
 	hdrSlab []byte
 }
 
-// Slab sizes, in entries. Small, so that a message held for long (a
-// retransmission buffer) pins little else.
+// Slab sizes, in entries. Small, so that a handle or header held for long
+// (a retransmission buffer) pins little else.
 const (
-	msgSlabLen  = 16
-	listSlabLen = 64
-	hdrSlabLen  = 512
+	handleSlabLen = 256
+	hdrSlabLen    = 512
 )
 
-// carve returns an empty list with capacity exactly n, cut from the front
-// of *slab, which is replaced by a fresh slab of slabLen entries when too
-// short; a list longer than a slab gets storage of its own. Because the
-// capacity is exact, an append past it moves to new storage and never
-// writes into the next carve.
-func carve[T any](slab *[]T, slabLen, n int) []T {
+// take returns an idle slot of c's: the last one back in its pool, or a new
+// one when the pool is empty.
+func (c *Ctx) take() *slot {
+	n := len(c.pool)
 	if n == 0 {
-		return nil
+		return newSlot(c)
 	}
-	if n > slabLen {
-		return make([]T, 0, n)
-	}
-	if len(*slab) < n {
-		*slab = make([]T, slabLen)
-	}
-	l := (*slab)[:0:n]
-	*slab = (*slab)[n:]
-	return l
+	s := c.pool[n-1]
+	c.pool = c.pool[:n-1]
+	return s
 }
 
-// newMsg carves a zeroed Msg from the Ctx's slab.
-func (c *Ctx) newMsg() *Msg {
-	if len(c.msgSlab) == 0 {
-		c.msgSlab = make([]Msg, msgSlabLen)
+// handle returns a new handle on s, cut from c's slab.
+func (c *Ctx) handle(s *slot) *Msg {
+	if len(c.handles) == 0 {
+		c.handles = make([]Msg, handleSlabLen)
 	}
-	m := &c.msgSlab[0]
-	c.msgSlab = c.msgSlab[1:]
+	m := &c.handles[0]
+	c.handles = c.handles[1:]
+	m.s = s
 	return m
 }
 
@@ -214,38 +212,48 @@ func (c *Ctx) endOp() {
 	c.retired = c.retired[:0]
 }
 
-// rebalance moves fbuf references from consumed input messages to output
-// messages: for every unique fbuf, the outputs must end up holding exactly
-// one reference each. pre lists references the caller already owns
-// (freshly allocated data fbufs carry their allocator reference).
-func (c *Ctx) rebalance(pre []*core.Fbuf, inputs, outputs []*Msg) error {
+// rebalance moves fbuf references from a consumed input message (none when
+// in is nil) to output messages: for every unique fbuf, the outputs must
+// end up holding exactly one reference each. pre lists references the
+// caller already owns (freshly allocated data fbufs carry their allocator
+// reference). The outputs are built in slots of their own, so the input's
+// slot goes back to its Ctx.
+func (c *Ctx) rebalance(pre []*core.Fbuf, in *Msg, outs ...*Msg) error {
 	refs := c.refs[:0]
 	for _, f := range pre {
 		refs = append(refs, ref{f: f, have: 1})
 	}
-	for _, in := range inputs {
-		if in.consumed {
+	var s *slot
+	if in != nil {
+		if s = in.s; s == nil {
 			return ErrConsumed
 		}
-		for _, f := range in.fbufs {
+		for _, f := range s.fbufs {
 			refs = append(refs, ref{f: f, have: 1})
 		}
 	}
-	for _, out := range outputs {
-		for _, f := range out.fbufs {
+	for _, out := range outs {
+		for _, f := range out.s.fbufs {
 			refs = append(refs, ref{f: f, need: 1})
 		}
 	}
 	c.refs = refs
-	return c.apply(refs, inputs)
+	if err := c.apply(refs, in); err != nil {
+		return err
+	}
+	if s != nil {
+		s.release()
+	}
+	return nil
 }
 
-// apply settles a reference balance and consumes the inputs. Lines for the
-// same fbuf are summed; each fbuf then takes need-have new references or
-// drops have-need. Ref-count ops emit trace events and charge the simulated
+// apply settles a reference balance and consumes the inputs (nil ones are
+// skipped), leaving their slots to the caller. Lines for the same fbuf are
+// summed; each fbuf then takes need-have new references or drops
+// have-need. Ref-count ops emit trace events and charge the simulated
 // clock, so they run in region-VA order, the stable identity of an fbuf
 // within one manager.
-func (c *Ctx) apply(refs []ref, inputs []*Msg) error {
+func (c *Ctx) apply(refs []ref, inputs ...*Msg) error {
 	slices.SortFunc(refs, func(x, y ref) int { return cmp.Compare(x.f.Base, y.f.Base) })
 	n := 0
 	for _, r := range refs {
@@ -269,7 +277,9 @@ func (c *Ctx) apply(refs []ref, inputs []*Msg) error {
 		}
 	}
 	for _, in := range inputs {
-		in.consumed = true
+		if in != nil {
+			in.s = nil
+		}
 	}
 	for _, r := range refs {
 		for i := r.need; i < r.have; i++ {
@@ -295,7 +305,7 @@ func (c *Ctx) NewData(data []byte) (*Msg, error) {
 	if err != nil {
 		return nil, err
 	}
-	segs := carve(&c.segSlab, listSlabLen, k)
+	segs := c.segBuf[:0]
 	for i, f := range bufs {
 		off := i * cap
 		n := len(data) - off
@@ -307,6 +317,7 @@ func (c *Ctx) NewData(data []byte) (*Msg, error) {
 		}
 		segs = append(segs, Seg{F: f, VA: f.Base, N: n})
 	}
+	c.segBuf = segs
 	return c.finish(bufs, segs)
 }
 
@@ -325,7 +336,7 @@ func (c *Ctx) NewTouched(n int) (*Msg, error) {
 	if err != nil {
 		return nil, err
 	}
-	segs := carve(&c.segSlab, listSlabLen, k)
+	segs := c.segBuf[:0]
 	for i, f := range bufs {
 		off := i * cap
 		take := n - off
@@ -339,6 +350,7 @@ func (c *Ctx) NewTouched(n int) (*Msg, error) {
 		}
 		segs = append(segs, Seg{F: f, VA: f.Base, N: take})
 	}
+	c.segBuf = segs
 	return c.finish(bufs, segs)
 }
 
@@ -352,50 +364,53 @@ func (c *Ctx) WrapFbuf(f *core.Fbuf, off, n int) (*Msg, error) {
 	if !f.HeldBy(c.Dom) {
 		return nil, core.ErrNotHolder
 	}
-	var segs []Seg
+	segs := c.segBuf[:0]
 	if n > 0 {
-		segs = append(carve(&c.segSlab, listSlabLen, 1), Seg{F: f, VA: f.Base + vm.VA(off), N: n})
+		segs = append(segs, Seg{F: f, VA: f.Base + vm.VA(off), N: n})
 	}
+	c.segBuf = segs
 	return c.finish([]*core.Fbuf{f}, segs)
 }
 
 // Join concatenates a then b, consuming both. In integrated mode this
 // writes a single pair node referencing the two existing DAG roots.
 //
-// The result takes over a's segment and fbuf arrays and appends b's, and
-// every fbuf it keeps in a's place keeps a's reference. So only b's side
-// enters the balance handed to apply: b's references, the fbufs b adds to
-// the result, and the few of a's that the result moves or drops.
-// Left-folding n fragments (IP reassembly) therefore does O(n) work.
+// The result takes over a's slot, appends b's segments and fbufs to a's
+// lists, and every fbuf it keeps in a's place keeps a's reference. So only
+// b's side enters the balance handed to apply: b's references, the fbufs
+// b adds to the result, and the few of a's that the result moves or
+// drops. Left-folding n fragments (IP reassembly) therefore does O(n)
+// work. b's slot goes back to its Ctx.
 //
 // Join(m, m) would consume m twice: it fails with ErrConsumed and leaves m
 // as it was.
 func (c *Ctx) Join(a, b *Msg) (*Msg, error) {
-	if a.consumed || b.consumed || a == b {
+	as, bs := a.s, b.s
+	if as == nil || bs == nil || a == b {
 		return nil, ErrConsumed
 	}
-	length := a.length + b.length
+	length := as.length + bs.length
 	var root vm.VA
 	var node *core.Fbuf
 	if c.integrated {
 		// Keep referencing the operands' node fbufs: their DAGs are
 		// now our subtrees.
 		var err error
-		if root, node, err = c.joinRoot(a.rootVA, b.rootVA, length); err != nil {
+		if root, node, err = c.joinRoot(as.rootVA, bs.rootVA, length); err != nil {
 			return nil, err
 		}
 	}
-	al, an := a.layout(&c.lists[0])
-	bl, bn := b.layout(&c.lists[1])
+	al, an := as.layout(&c.lists[0])
+	bl, bn := bs.layout(&c.lists[1])
 	aData, aNodes := al[:an], al[an:]
 	refs, added := c.refs[:0], c.added[:0]
-	for _, f := range b.fbufs {
+	for _, f := range bs.fbufs {
 		refs = append(refs, ref{f: f, have: 1})
 	}
-	if a.ndata < 0 {
+	if as.ndata < 0 {
 		// Data an Opened view's domain was not granted.
 		for _, f := range aData {
-			if !slices.Contains(a.fbufs, f) {
+			if !slices.Contains(as.fbufs, f) {
 				refs = append(refs, ref{f: f, need: 1})
 			}
 		}
@@ -428,29 +443,25 @@ func (c *Ctx) Join(a, b *Msg) (*Msg, error) {
 		}
 	}
 	c.refs, c.added = refs, added
-	if err := c.apply(refs, []*Msg{a, b}); err != nil {
+	if err := c.apply(refs, a, b); err != nil {
 		return nil, err
 	}
-	// a is consumed: its carves are the result's to extend in place
-	// while they have room. Past that, the lists move to carves twice
-	// their length, so a left fold copies each entry amortised O(1)
+	// a's lists are the result's to extend in place; append grows them
+	// geometrically, so a left fold copies each entry amortised O(1)
 	// times.
-	m := c.newMsg()
-	*m = Msg{mgr: c.Mgr, integrated: c.integrated, rootVA: root, length: length, ndata: an + nNew}
-	segs := a.segs
-	if n := len(a.segs) + len(b.segs); n > cap(segs) {
-		segs = append(carve(&c.segSlab, listSlabLen, 2*n), a.segs...)
-	}
-	m.segs = append(segs, b.segs...)
 	fbufs := al
-	if n := len(al) + len(added); a.ndata < 0 || n > cap(fbufs) {
+	if as.ndata < 0 {
 		// An Opened view's layout is Ctx scratch.
-		fbufs = append(carve(&c.fbufSlab, listSlabLen, 2*n), al...)
+		fbufs = append(as.fbufs[:0], al...)
 	}
+	ndata := an + nNew
 	fbufs = slices.Insert(fbufs, an, added[:nNew]...)
-	kept := slices.DeleteFunc(fbufs[m.ndata:], moved)
-	m.fbufs = append(fbufs[:m.ndata+len(kept)], added[nNew:]...)
-	return m, nil
+	kept := slices.DeleteFunc(fbufs[ndata:], moved)
+	as.mgr, as.integrated, as.rootVA, as.ndata, as.length = c.Mgr, c.integrated, root, ndata, length
+	as.segs = append(as.segs, bs.segs...)
+	as.fbufs = append(fbufs[:ndata+len(kept)], added[nNew:]...)
+	bs.release()
+	return c.handle(as), nil
 }
 
 // Split divides the message at byte offset off, consuming it and returning
@@ -458,54 +469,56 @@ func (c *Ctx) Join(a, b *Msg) (*Msg, error) {
 // re-described by offset/length, exactly as the paper prescribes for IP
 // fragmentation.
 //
-// Like Join, the second half takes over m's segment and fbuf arrays when
-// m's layout allows (see keep), so cutting n fragments off a message
-// copies each fragment's entries, not the remainder's.
+// Like Join, the second half takes over m's slot when m's layout allows
+// (see keep), so cutting n fragments off a message builds each fragment's
+// lists, not the remainder's.
 func (c *Ctx) Split(m *Msg, off int) (*Msg, *Msg, error) {
-	if m.consumed {
+	s := m.s
+	if s == nil {
 		return nil, nil, ErrConsumed
 	}
-	if off < 0 || off > m.length {
-		return nil, nil, fmt.Errorf("%w: split at %d of %d", ErrRange, off, m.length)
+	if off < 0 || off > s.length {
+		return nil, nil, fmt.Errorf("%w: split at %d of %d", ErrRange, off, s.length)
 	}
-	a, err := c.fromSegs(c.sliceSegs(m.segs, 0, off))
+	a, err := c.fromSegs(c.sliceSegs(s.segs, 0, off))
 	if err != nil {
 		return nil, nil, err
 	}
-	if k, ok := m.cut(off); ok {
+	if k, ok := s.cut(off); ok {
 		b, err := c.keep(m, k, a)
 		if err != nil {
 			return nil, nil, err
 		}
 		return a, b, nil
 	}
-	b, err := c.fromSegs(c.sliceSegs(m.segs, off, m.length-off))
+	b, err := c.fromSegs(c.sliceSegs(s.segs, off, s.length-off))
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := c.rebalance(nil, []*Msg{m}, []*Msg{a, b}); err != nil {
+	if err := c.rebalance(nil, m, a, b); err != nil {
 		return nil, nil, err
 	}
 	return a, b, nil
 }
 
 // ClipHead drops the first n bytes (popping a protocol header), consuming
-// m. The result takes over m's lists as Split's second half does.
+// m. The result takes over m's slot as Split's second half does.
 func (c *Ctx) ClipHead(m *Msg, n int) (*Msg, error) {
-	if m.consumed {
+	s := m.s
+	if s == nil {
 		return nil, ErrConsumed
 	}
-	if n < 0 || n > m.length {
-		return nil, fmt.Errorf("%w: clip %d of %d", ErrRange, n, m.length)
+	if n < 0 || n > s.length {
+		return nil, fmt.Errorf("%w: clip %d of %d", ErrRange, n, s.length)
 	}
-	if k, ok := m.cut(n); ok {
+	if k, ok := s.cut(n); ok {
 		return c.keep(m, k, nil)
 	}
-	out, err := c.fromSegs(c.sliceSegs(m.segs, n, m.length-n))
+	out, err := c.fromSegs(c.sliceSegs(s.segs, n, s.length-n))
 	if err != nil {
 		return nil, err
 	}
-	if err := c.rebalance(nil, []*Msg{m}, []*Msg{out}); err != nil {
+	if err := c.rebalance(nil, m, out); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -513,54 +526,54 @@ func (c *Ctx) ClipHead(m *Msg, n int) (*Msg, error) {
 
 // cut is where an edit divides a message: its tail, the bytes from off
 // on, starts d bytes into segment i. The tail's data fbufs are
-// m.fbufs[jb:m.ndata]; shared reports that the head holds the first of
-// them too.
+// fbufs[jb:ndata]; shared reports that the head holds the first of them
+// too.
 type cut struct {
 	off, i, d, jb int
 	shared        bool
 }
 
-// cut locates byte off of m and reports whether the tail may take over
-// m's lists: m is a built message, no segment lacks its fbuf, and from
-// the boundary on each data fbuf backs one run of segments, in list
-// order. Then only the boundary fbuf can back segments on both sides.
-// Join(m, Clone(m)) builds an X,Y,X layout that fails the test, as do
-// Opened views, whose fbufs are in traversal order.
-func (m *Msg) cut(off int) (cut, bool) {
+// cut locates byte off of s's message and reports whether the tail may
+// take over its slot: it is a built message, no segment lacks its fbuf,
+// and from the boundary on each data fbuf backs one run of segments, in
+// list order. Then only the boundary fbuf can back segments on both
+// sides. Join(m, Clone(m)) builds an X,Y,X layout that fails the test, as
+// do Opened views, whose fbufs are in traversal order.
+func (s *slot) cut(off int) (cut, bool) {
 	k := cut{off: off}
-	if m.ndata < 0 {
+	if s.ndata < 0 {
 		return k, false
 	}
 	pos := 0
-	for k.i < len(m.segs) && pos+m.segs[k.i].N <= off {
-		pos += m.segs[k.i].N
+	for k.i < len(s.segs) && pos+s.segs[k.i].N <= off {
+		pos += s.segs[k.i].N
 		k.i++
 	}
 	k.d = off - pos
-	head := m.segs[:k.i]
+	head := s.segs[:k.i]
 	if k.d > 0 {
-		head = m.segs[:k.i+1]
+		head = s.segs[:k.i+1]
 	}
 	// A built message lists its data fbufs in order of first use, so
 	// each segment's fbuf is the next unmet one or one met before.
-	data := m.fbufs[:m.ndata]
+	data := s.fbufs[:s.ndata]
 	met := 0
 	var last *core.Fbuf
-	for _, s := range head {
-		if s.F == nil {
+	for _, sg := range head {
+		if sg.F == nil {
 			return k, false
 		}
-		if met < len(data) && s.F == data[met] {
+		if met < len(data) && sg.F == data[met] {
 			met++
 		}
-		last = s.F
+		last = sg.F
 	}
 	k.jb = met
-	for j, s := range m.segs[k.i:] {
+	for j, sg := range s.segs[k.i:] {
 		switch {
-		case s.F == nil:
+		case sg.F == nil:
 			return k, false
-		case s.F == last:
+		case sg.F == last:
 			if j == 0 {
 				// The boundary fbuf: both halves hold it, and it
 				// must be the last one the head met.
@@ -569,27 +582,28 @@ func (m *Msg) cut(off int) (cut, bool) {
 				}
 				k.jb, k.shared = met-1, true
 			}
-		case met < len(data) && s.F == data[met]:
+		case met < len(data) && sg.F == data[met]:
 			met++
 		default:
 			return k, false
 		}
-		last = s.F
+		last = sg.F
 	}
 	return k, met == len(data)
 }
 
-// keep builds the tail of an edit, m's bytes from cut k on, over m's own
-// lists: the boundary segment is trimmed in place and m.fbufs[k.jb:]
-// becomes the tail's fbuf list. head, when not nil, is the edit's other
-// output, already built. Every data fbuf but the boundary one stays with
-// one side and keeps m's reference, so only the fbufs whose counts move
-// enter the balance: m's node fbufs, head's and the tail's, the boundary
-// fbuf when head holds it too, and, with no head, the data fbufs the edit
-// drops. m is consumed when the balance is applied; a failure before
-// that leaves it as it was.
+// keep builds the tail of an edit, m's bytes from cut k on, in m's own
+// slot: the boundary segment is trimmed in place and fbufs[k.jb:] becomes
+// the tail's fbuf list. head, when not nil, is the edit's other output,
+// already built. Every data fbuf but the boundary one stays with one side
+// and keeps m's reference, so only the fbufs whose counts move enter the
+// balance: m's node fbufs, head's and the tail's, the boundary fbuf when
+// head holds it too, and, with no head, the data fbufs the edit drops. m
+// is consumed when the balance is applied; a failure before that leaves
+// it as it was.
 func (c *Ctx) keep(m *Msg, k cut, head *Msg) (*Msg, error) {
-	segs := m.segs[k.i:]
+	s := m.s
+	segs := s.segs[k.i:]
 	var boundary Seg
 	if k.d > 0 {
 		boundary = segs[0]
@@ -610,17 +624,17 @@ func (c *Ctx) keep(m *Msg, k cut, head *Msg) (*Msg, error) {
 			return fail(err)
 		}
 	}
-	data := m.fbufs[k.jb:m.ndata]
+	data := s.fbufs[k.jb:s.ndata]
 	refs, added := c.refs[:0], c.added[:0]
-	for _, f := range m.fbufs[m.ndata:] {
+	for _, f := range s.fbufs[s.ndata:] {
 		refs = append(refs, ref{f: f, have: 1})
 	}
 	if head == nil {
-		for _, f := range m.fbufs[:k.jb] {
+		for _, f := range s.fbufs[:k.jb] {
 			refs = append(refs, ref{f: f, have: 1})
 		}
 	} else {
-		for _, f := range head.fbufs[head.ndata:] {
+		for _, f := range head.s.fbufs[head.s.ndata:] {
 			refs = append(refs, ref{f: f, need: 1})
 		}
 		if k.shared {
@@ -634,40 +648,32 @@ func (c *Ctx) keep(m *Msg, k cut, head *Msg) (*Msg, error) {
 		}
 	}
 	c.refs, c.added = refs, added
-	if err := c.apply(refs, []*Msg{m}); err != nil {
+	if err := c.apply(refs, m); err != nil {
 		return fail(err)
 	}
-	fbufs := data
-	if n := len(data) + len(added); n > cap(fbufs) {
-		fbufs = append(carve(&c.fbufSlab, listSlabLen, n), data...)
-	}
-	t := c.newMsg()
-	*t = Msg{
-		mgr:        c.Mgr,
-		integrated: c.integrated,
-		rootVA:     root,
-		segs:       segs,
-		fbufs:      append(fbufs, added...),
-		ndata:      len(data),
-		length:     m.length - k.off,
-	}
-	c.validate(t)
-	return t, nil
+	// The tail's entries move to the front of the slot's lists, so the
+	// slot keeps their whole capacity for its next message.
+	s.mgr, s.integrated, s.rootVA, s.ndata, s.length = c.Mgr, c.integrated, root, len(data), s.length-k.off
+	s.segs = s.segs[:copy(s.segs, segs)]
+	s.fbufs = append(s.fbufs[:copy(s.fbufs, data)], added...)
+	c.validate(s)
+	return c.handle(s), nil
 }
 
 // ClipTail drops the last n bytes, consuming m.
 func (c *Ctx) ClipTail(m *Msg, n int) (*Msg, error) {
-	if m.consumed {
+	s := m.s
+	if s == nil {
 		return nil, ErrConsumed
 	}
-	if n < 0 || n > m.length {
-		return nil, fmt.Errorf("%w: clip %d of %d", ErrRange, n, m.length)
+	if n < 0 || n > s.length {
+		return nil, fmt.Errorf("%w: clip %d of %d", ErrRange, n, s.length)
 	}
-	out, err := c.fromSegs(c.sliceSegs(m.segs, 0, m.length-n))
+	out, err := c.fromSegs(c.sliceSegs(s.segs, 0, s.length-n))
 	if err != nil {
 		return nil, err
 	}
-	if err := c.rebalance(nil, []*Msg{m}, []*Msg{out}); err != nil {
+	if err := c.rebalance(nil, m, out); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -683,13 +689,23 @@ func (c *Ctx) Push(m *Msg, hdr []byte) (*Msg, error) {
 	return c.Join(h, m)
 }
 
-// Pop reads and strips an n-byte header, consuming m. The header is carved
-// from the Ctx and stays the caller's.
+// Pop reads and strips an n-byte header, consuming m. The header is cut
+// from the Ctx's header slab and stays the caller's.
 func (c *Ctx) Pop(m *Msg, n int) ([]byte, *Msg, error) {
-	if m.consumed {
+	if m.s == nil {
 		return nil, nil, ErrConsumed
 	}
-	hdr := carve(&c.hdrSlab, hdrSlabLen, n)[:n]
+	var hdr []byte
+	switch {
+	case n > hdrSlabLen:
+		hdr = make([]byte, n)
+	case n > 0:
+		if len(c.hdrSlab) < n {
+			c.hdrSlab = make([]byte, hdrSlabLen)
+		}
+		hdr = c.hdrSlab[:n:n]
+		c.hdrSlab = c.hdrSlab[n:]
+	}
 	if err := m.Read(c.Dom, 0, hdr); err != nil {
 		return nil, nil, err
 	}
@@ -700,9 +716,9 @@ func (c *Ctx) Pop(m *Msg, n int) ([]byte, *Msg, error) {
 	return hdr, rest, nil
 }
 
-// fromSegs builds a message over a segment list carved from the Ctx,
-// writing a fresh DAG chain in integrated mode. Reference accounting is
-// the caller's job (rebalance).
+// fromSegs builds a message over a copy of segs in a slot of c's, writing
+// a fresh DAG chain in integrated mode. Reference accounting is the
+// caller's job (rebalance).
 func (c *Ctx) fromSegs(segs []Seg) (*Msg, error) {
 	fbufs := appendData(c.lists[0][:0], segs)
 	ndata := len(fbufs)
@@ -720,18 +736,12 @@ func (c *Ctx) fromSegs(segs []Seg) (*Msg, error) {
 		}
 	}
 	c.lists[0] = fbufs
-	m := c.newMsg()
-	*m = Msg{
-		mgr:        c.Mgr,
-		integrated: c.integrated,
-		rootVA:     root,
-		segs:       segs,
-		fbufs:      append(carve(&c.fbufSlab, listSlabLen, len(fbufs)), fbufs...),
-		ndata:      ndata,
-		length:     totalLen(segs),
-	}
-	c.validate(m)
-	return m, nil
+	s := c.take()
+	s.mgr, s.integrated, s.rootVA, s.ndata, s.length = c.Mgr, c.integrated, root, ndata, totalLen(segs)
+	s.segs = append(s.segs[:0], segs...)
+	s.fbufs = append(s.fbufs[:0], fbufs...)
+	c.validate(s)
+	return c.handle(s), nil
 }
 
 // finish completes message construction from freshly allocated fbufs.
@@ -740,14 +750,14 @@ func (c *Ctx) finish(pre []*core.Fbuf, segs []Seg) (*Msg, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := c.rebalance(pre, nil, []*Msg{m}); err != nil {
+	if err := c.rebalance(pre, nil, m); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
-// sliceSegs returns the sub-segment-list covering [off, off+n), carved
-// from the Ctx.
+// sliceSegs returns the sub-segment-list covering [off, off+n), in Ctx
+// scratch.
 func (c *Ctx) sliceSegs(segs []Seg, off, n int) []Seg {
 	out := c.segBuf[:0]
 	for _, s := range segs {
@@ -767,5 +777,5 @@ func (c *Ctx) sliceSegs(segs []Seg, off, n int) []Seg {
 		off = 0
 	}
 	c.segBuf = out
-	return append(carve(&c.segSlab, listSlabLen, len(out)), out...)
+	return out
 }

@@ -64,10 +64,13 @@ func TestDifferentialGolden(t *testing.T) {
 	}
 }
 
-// held is a message and the index of the domain whose view it is.
+// held is a message, the index of the domain whose view it is, and its
+// length when it was filed: a consumed message's Len reads 0, and edits
+// draw their offsets from the length the message had.
 type held struct {
 	m *Msg
 	d int
+	n int
 }
 
 type diffSeq struct {
@@ -180,7 +183,7 @@ func (s *diffSeq) step() {
 		// dst holds yet: Open claims every reference its domain holds
 		// to the DAG's fbufs, so the receiver must hold only what the
 		// transfer grants.
-		if x, ok = s.pick(0); !ok || !x.m.consumed && slices.ContainsFunc(x.m.Fbufs(), func(f *core.Fbuf) bool { return f.HeldBy(s.doms[1]) }) {
+		if x, ok = s.pick(0); !ok || x.m.s != nil && slices.ContainsFunc(x.m.Fbufs(), func(f *core.Fbuf) bool { return f.HeldBy(s.doms[1]) }) {
 			op = 0
 		}
 	}
@@ -217,17 +220,17 @@ func (s *diffSeq) step() {
 		to = x.d
 		var hdr []byte
 		var m *Msg
-		hdr, m, err = c.Pop(x.m, s.rng.Intn(x.m.Len()+3))
+		hdr, m, err = c.Pop(x.m, s.rng.Intn(x.n+3))
 		s.put(uint64(len(hdr)))
 		outs = []*Msg{m}
 	case 5:
 		to = x.d
 		var a, b *Msg
-		a, b, err = c.Split(x.m, s.rng.Intn(x.m.Len()+3)-1)
+		a, b, err = c.Split(x.m, s.rng.Intn(x.n+3)-1)
 		outs = []*Msg{a, b}
 	case 6, 7:
 		to = x.d
-		n := s.rng.Intn(x.m.Len()+3) - 1
+		n := s.rng.Intn(x.n+3) - 1
 		var m *Msg
 		if op == 6 {
 			m, err = c.ClipHead(x.m, n)
@@ -258,7 +261,7 @@ func (s *diffSeq) step() {
 		from, dest := s.doms[0], s.doms[1]
 		// A consumed message's lists are not its own any more: transfer
 		// it whole, which fails with ErrConsumed.
-		if x.m.consumed || s.rng.Intn(2) == 0 {
+		if x.m.s == nil || s.rng.Intn(2) == 0 {
 			err = x.m.Transfer(from, dest)
 		} else {
 			// x stays live, unedited, for the rest of the sequence:
@@ -310,7 +313,7 @@ func (s *diffSeq) record(op int, err error, d int, outs []*Msg) {
 			s.put(fbufBase(f))
 			s.meet(f)
 		}
-		s.live = append(s.live, held{m, d})
+		s.live = append(s.live, held{m, d, m.Len()})
 	}
 	for _, row := range s.ctxs {
 		for _, c := range row {
@@ -319,7 +322,7 @@ func (s *diffSeq) record(op int, err error, d int, outs []*Msg) {
 	}
 	live := s.live[:0]
 	for _, x := range s.live {
-		if x.m.consumed {
+		if x.m.s == nil {
 			s.dead = append(s.dead, x)
 		} else {
 			live = append(live, x)

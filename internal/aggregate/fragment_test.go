@@ -79,7 +79,7 @@ func refFbufs(mgr *core.Manager, segs []Seg, integrated bool, root vm.VA) ([]*co
 func checkEdit(t testing.TB, c *Ctx, m *Msg, off int, clip bool) []*Msg {
 	t.Helper()
 	// Copy m's lists: the edit consumes m and may reuse its arrays.
-	segs, held := slices.Clone(m.segs), slices.Clone(m.fbufs)
+	segs, held := slices.Clone(m.s.segs), slices.Clone(m.s.fbufs)
 	data, err := m.ReadAll(c.Dom)
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func checkEdit(t testing.TB, c *Ctx, m *Msg, off int, clip bool) []*Msg {
 		}
 		outs = []*Msg{a, b}
 	}
-	if !m.consumed {
+	if m.s != nil {
 		t.Fatal("edit left its operand live")
 	}
 	delta := map[*core.Fbuf]int{}
@@ -128,9 +128,9 @@ func checkEdit(t testing.TB, c *Ctx, m *Msg, off int, clip bool) []*Msg {
 		if !slices.Equal(leaves, o.Segs()) {
 			t.Fatalf("cut at %d: result [%d,%d) DAG leaves %v, want %v", off, lo, hi, leaves, o.Segs())
 		}
-		if !slices.Equal(o.Fbufs(), list) || o.ndata != ndata {
+		if !slices.Equal(o.Fbufs(), list) || o.s.ndata != ndata {
 			t.Fatalf("cut at %d: result [%d,%d) Fbufs %v ndata %d, want %v ndata %d",
-				off, lo, hi, o.Fbufs(), o.ndata, list, ndata)
+				off, lo, hi, o.Fbufs(), o.s.ndata, list, ndata)
 		}
 		if o.Len() != hi-lo {
 			t.Fatalf("cut at %d: result [%d,%d) Len %d", off, lo, hi, o.Len())
@@ -311,7 +311,7 @@ func TestFragmentationMatchesReference(t *testing.T) {
 			for i, off := range l.offs {
 				for _, clip := range []bool{false, true} {
 					m, mc := l.build()
-					if _, ok := m.cut(off); ok != l.keep[i] {
+					if _, ok := m.s.cut(off); ok != l.keep[i] {
 						t.Fatalf("%s: cut at %d of %d: keep %v, want %v", l.name, off, m.Len(), ok, l.keep[i])
 					}
 					for _, o := range checkEdit(t, mc, m, off, clip) {
@@ -457,7 +457,7 @@ func FuzzFragment(f *testing.F) {
 			off := int(binary.BigEndian.Uint16(in[2:])) % (x.Len() + 1)
 			if in[0]&0x80 != 0 {
 				off = 0
-				for _, s := range x.segs[:int(in[2])%(len(x.segs)+1)] {
+				for _, s := range x.s.segs[:int(in[2])%(len(x.s.segs)+1)] {
 					off += s.N
 				}
 			}

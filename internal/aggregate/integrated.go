@@ -215,56 +215,90 @@ func (c *Ctx) joinRoot(left, right vm.VA, total int) (vm.VA, *core.Fbuf, error) 
 //  3. reads of addresses the receiver has no permission for complete
 //     against the VM's empty-leaf page, so dangling references appear as
 //     the absence of data rather than a crash.
+//
+// Open is for callers without a Ctx: it walks over stack scratch and
+// builds the view in one object, whose slot has no home. A layer that
+// opens message after message uses its Ctx's Open.
 func Open(mgr *core.Manager, d *domain.Domain, rootVA vm.VA) (*Msg, error) {
+	// Lists longer than the scratch spill to the heap.
+	var (
+		pathBuf [32]frame
+		segBuf  [16]Seg
+		fbufBuf [16]*core.Fbuf
+	)
+	_, segs, fbufs, err := traverse(mgr, d, rootVA, pathBuf[:0], segBuf[:0], fbufBuf[:0])
+	if err != nil {
+		return nil, err
+	}
+	m := newLoose()
+	m.s.set(mgr, rootVA, segs)
+	m.s.segs = append(m.s.segs, segs...)
+	m.s.fbufs = append(m.s.fbufs, fbufs...)
+	return m, nil
+}
+
+// Open is the package-level Open acting as c's domain, building the view
+// in a slot of c's; its traversal stack is Ctx scratch. Once c's pool
+// holds slots that have served views as long, opening allocates nothing.
+func (c *Ctx) Open(rootVA vm.VA) (*Msg, error) {
+	s := c.take()
+	frames, segs, fbufs, err := traverse(c.Mgr, c.Dom, rootVA, c.frames[:0], s.segs[:0], s.fbufs[:0])
+	c.frames, s.segs, s.fbufs = frames, segs, fbufs
+	if err != nil {
+		s.release()
+		return nil, err
+	}
+	s.set(c.Mgr, rootVA, segs)
+	return c.handle(s), nil
+}
+
+// set fills in an Opened view's state but its lists.
+func (s *slot) set(mgr *core.Manager, rootVA vm.VA, segs []Seg) {
+	s.mgr, s.integrated, s.rootVA, s.ndata, s.length = mgr, true, rootVA, -1, totalLen(segs)
+}
+
+// frame is one pair on Open's traversal path, waiting for or walking its
+// right subtree.
+type frame struct {
+	va, right    vm.VA
+	walkingRight bool
+}
+
+// traverse is Open's walk of the DAG at rootVA as domain d. It appends the
+// leaves' segments to segs and the fbufs d holds to fbufs, in discovery
+// order, and uses path as its stack; it returns all three.
+func traverse(mgr *core.Manager, d *domain.Domain, rootVA vm.VA, path []frame, segs []Seg, fbufs []*core.Fbuf) ([]frame, []Seg, []*core.Fbuf, error) {
 	if o := mgr.Sys.Obs; o != nil {
 		o.SpanBegin(span.StageMap, "aggregate", int(d.ID)+mgr.Sys.TraceBase, int64(rootVA))
 		defer o.SpanEnd()
 	}
-	// Depth-first, left to right, over stack scratch. The frames are the
-	// pairs on the path from the root, each waiting for or walking its
-	// right subtree: the on-path set of the cycle check. DAG depth is
-	// bounded by maxNodes, and lists longer than the scratch spill to
-	// the heap.
-	type frame struct {
-		va, right    vm.VA
-		walkingRight bool
-	}
-	var (
-		frameBuf [32]frame
-		segBuf   [16]Seg
-		fbufBuf  [16]*core.Fbuf
-	)
-	path, segs, fbufs := frameBuf[:0], segBuf[:0], fbufBuf[:0]
-	// note adds f to the fbufs discovered, once, in discovery order.
-	note := func(f *core.Fbuf) {
-		if f != nil && !slices.Contains(fbufs, f) {
-			fbufs = append(fbufs, f)
-		}
-	}
+	// Depth-first, left to right. The frames are the pairs on the path
+	// from the root: the on-path set of the cycle check. DAG depth is
+	// bounded by maxNodes.
 	count := 0
 	for va := rootVA; ; {
 		if !mgr.InRegion(va) {
-			return nil, fmt.Errorf("%w: node %#x", ErrBadPointer, uint64(va))
+			return path, segs, fbufs, fmt.Errorf("%w: node %#x", ErrBadPointer, uint64(va))
 		}
 		if va%nodeSize != 0 {
-			return nil, fmt.Errorf("%w: unaligned node %#x", ErrBadNode, uint64(va))
+			return path, segs, fbufs, fmt.Errorf("%w: unaligned node %#x", ErrBadNode, uint64(va))
 		}
 		for _, fr := range path {
 			if fr.va == va {
-				return nil, fmt.Errorf("%w via node %#x", ErrCycle, uint64(va))
+				return path, segs, fbufs, fmt.Errorf("%w via node %#x", ErrCycle, uint64(va))
 			}
 		}
 		count++
 		if count > maxNodes {
-			return nil, ErrTooLarge
+			return path, segs, fbufs, ErrTooLarge
 		}
 		var enc [nodeSize]byte
 		if err := d.AS.Read(va, enc[:]); err != nil {
 			// A non-volatile configuration faults here instead of
 			// synthesizing an empty leaf; surface the violation.
-			return nil, fmt.Errorf("aggregate: node read: %w", err)
+			return path, segs, fbufs, fmt.Errorf("aggregate: node read: %w", err)
 		}
-		note(mgr.FbufAt(va))
+		fbufs = note(fbufs, mgr.FbufAt(va))
 		kind := enc[0]
 		n := int(binary.LittleEndian.Uint32(enc[4:]))
 		a := vm.VA(binary.LittleEndian.Uint64(enc[8:]))
@@ -276,23 +310,23 @@ func Open(mgr *core.Manager, d *domain.Domain, rootVA vm.VA) (*Msg, error) {
 				break
 			}
 			if n < 0 || n > machine.PageSize*core.DefaultChunkPages {
-				return nil, fmt.Errorf("%w: leaf length %d", ErrBadNode, n)
+				return path, segs, fbufs, fmt.Errorf("%w: leaf length %d", ErrBadNode, n)
 			}
 			if !mgr.InRegion(a) || !mgr.InRegion(a+vm.VA(n-1)) {
-				return nil, fmt.Errorf("%w: leaf data [%#x,+%d)", ErrBadPointer, uint64(a), n)
+				return path, segs, fbufs, fmt.Errorf("%w: leaf data [%#x,+%d)", ErrBadPointer, uint64(a), n)
 			}
 			f := mgr.FbufAt(a)
 			if f != nil && !f.Contains(a+vm.VA(n-1)) {
-				return nil, fmt.Errorf("%w: leaf data crosses fbuf boundary", ErrBadNode)
+				return path, segs, fbufs, fmt.Errorf("%w: leaf data crosses fbuf boundary", ErrBadNode)
 			}
-			note(f)
+			fbufs = note(fbufs, f)
 			segs = append(segs, Seg{F: f, VA: a, N: n})
 		case kindPair:
 			path = append(path, frame{va: va, right: b})
 			va = a
 			continue
 		default:
-			return nil, fmt.Errorf("%w: kind %d at %#x", ErrBadNode, kind, uint64(va))
+			return path, segs, fbufs, fmt.Errorf("%w: kind %d at %#x", ErrBadNode, kind, uint64(va))
 		}
 		// The subtree at va is done: leave the pairs whose right
 		// subtrees are done too, then walk the next right subtree.
@@ -314,17 +348,13 @@ func Open(mgr *core.Manager, d *domain.Domain, rootVA vm.VA) (*Msg, error) {
 			held = append(held, f)
 		}
 	}
-	v := new(openView)
-	v.Msg = Msg{mgr: mgr, integrated: true, rootVA: rootVA, segs: append(v.segBuf[:0], segs...),
-		fbufs: append(v.fbufBuf[:0], held...), ndata: -1, length: totalLen(segs)}
-	return &v.Msg, nil
+	return path, segs, held, nil
 }
 
-// openView is an Opened view and the inline arrays its lists start in, one
-// object. The arrays hold a header pushed onto a one-fbuf message (two data
-// fbufs and their node fbufs); longer lists spill to the heap.
-type openView struct {
-	Msg
-	segBuf  [2]Seg
-	fbufBuf [4]*core.Fbuf
+// note adds f to the fbufs discovered, once, in discovery order.
+func note(fbufs []*core.Fbuf, f *core.Fbuf) []*core.Fbuf {
+	if f != nil && !slices.Contains(fbufs, f) {
+		fbufs = append(fbufs, f)
+	}
+	return fbufs
 }

@@ -15,49 +15,71 @@ import (
 // fbufs, and (integrated mode) the just-written DAG's range, alignment,
 // cycle, and node-count rules. Validation reads node bytes straight from
 // physical frames, charging zero simulated time, so enabling fbsan never
-// perturbs the run it watches.
+// perturbs the run it watches. A slot going back to its pool is poisoned,
+// so a list read after its message was consumed shows it.
 
-// validate reports m to the sanitizer, when it is on, if m breaks the
-// aggregate invariants.
-func (c *Ctx) validate(m *Msg) {
-	if s := c.Mgr.Sanitizer(); s != nil {
-		if err := c.validateMsg(m); err != nil {
-			s.Violation("aggregate msg build: %v", err)
+// poisonSeg is what a pooled slot's segment entries read under fbsan: no
+// fbuf and a length no segment has. Its fbuf entries read nil.
+var poisonSeg = Seg{N: -1}
+
+// poison overwrites s's list entries and drops the lists, so the poisoned
+// storage is never reused: a caller still holding them keeps seeing the
+// poison, not the next message's entries.
+func (s *slot) poison() {
+	for i := range s.segs {
+		s.segs[i] = poisonSeg
+	}
+	clear(s.fbufs)
+	s.segs, s.fbufs = nil, nil
+}
+
+// validate reports s's message to the sanitizer, when it is on, if it
+// breaks the aggregate invariants.
+func (c *Ctx) validate(s *slot) {
+	if san := c.Mgr.Sanitizer(); san != nil {
+		if err := c.validateMsg(s); err != nil {
+			san.Violation("aggregate msg build: %v", err)
 		}
 	}
 }
 
 // validateMsg checks a freshly built message. Returned errors are
 // reported through the sanitizer's violation handler by the caller.
-func (c *Ctx) validateMsg(m *Msg) error {
+func (c *Ctx) validateMsg(s *slot) error {
 	total := 0
-	for i, s := range m.segs {
-		if s.N < 0 {
-			return fmt.Errorf("seg %d has negative length %d", i, s.N)
+	for i, sg := range s.segs {
+		if sg == poisonSeg {
+			return fmt.Errorf("seg %d is a pooled slot's poison", i)
 		}
-		total += s.N
-		if s.F == nil {
+		if sg.N < 0 {
+			return fmt.Errorf("seg %d has negative length %d", i, sg.N)
+		}
+		total += sg.N
+		if sg.F == nil {
 			continue // volatile absence-of-data: legitimately unreachable
 		}
-		if s.F.State() != core.StateLive {
-			return fmt.Errorf("seg %d references %s fbuf %#x", i, s.F.State(), uint64(s.F.Base))
+		if sg.F.State() != core.StateLive {
+			return fmt.Errorf("seg %d references %s fbuf %#x", i, sg.F.State(), uint64(sg.F.Base))
 		}
-		if s.N > 0 && (!s.F.Contains(s.VA) || !s.F.Contains(s.VA+vm.VA(s.N-1))) {
+		if sg.N > 0 && (!sg.F.Contains(sg.VA) || !sg.F.Contains(sg.VA+vm.VA(sg.N-1))) {
 			return fmt.Errorf("seg %d [%#x,+%d) outside fbuf %#x of %d bytes",
-				i, uint64(s.VA), s.N, uint64(s.F.Base), s.F.Size())
+				i, uint64(sg.VA), sg.N, uint64(sg.F.Base), sg.F.Size())
 		}
 	}
-	if total != m.length {
-		return fmt.Errorf("segment lengths sum to %d but message length is %d", total, m.length)
+	if i := slices.Index(s.fbufs, nil); i >= 0 {
+		return fmt.Errorf("fbuf %d is a pooled slot's poison", i)
 	}
-	// Msg.cut relies on a built message listing its data fbufs in order of
-	// first use.
-	if data := appendData(nil, m.segs); m.ndata >= 0 && !slices.Equal(m.fbufs[:m.ndata], data) {
-		return fmt.Errorf("data fbufs %v, want the segments' %v", m.fbufs[:m.ndata], data)
+	if total != s.length {
+		return fmt.Errorf("segment lengths sum to %d but message length is %d", total, s.length)
 	}
-	if m.integrated {
+	// slot.cut relies on a built message listing its data fbufs in order
+	// of first use.
+	if data := appendData(nil, s.segs); s.ndata >= 0 && !slices.Equal(s.fbufs[:s.ndata], data) {
+		return fmt.Errorf("data fbufs %v, want the segments' %v", s.fbufs[:s.ndata], data)
+	}
+	if s.integrated {
 		v := &rawWalker{mgr: c.Mgr, onPath: map[vm.VA]bool{}}
-		if err := v.walk(m.rootVA); err != nil {
+		if err := v.walk(s.rootVA); err != nil {
 			return fmt.Errorf("built DAG invalid: %w", err)
 		}
 	}

@@ -101,6 +101,82 @@ func TestCachedHopAllocationFree(t *testing.T) {
 	}
 }
 
+// TestNoticeCycleAllocationFree: when the receiver frees last, each of
+// four fbufs queues a deallocation notice, and delivering them recycles
+// the batch and hands its storage back to the notice key, so a warm
+// Free -> DeliverNotices cycle allocates nothing; nor does one that
+// retires the batch the ring way, CollectNotices then RetireNotices.
+func TestNoticeCycleAllocationFree(t *testing.T) {
+	r := newRig(t)
+	if r.mgr.SanitizerEnabled() {
+		t.Skip("fbsan allocates by design: it saves canary bytes")
+	}
+	p := r.path(t, CachedVolatile(), 1)
+	var fs [4]*Fbuf
+	ring := false
+	cycle := func() {
+		for i := range fs {
+			f, err := p.Alloc()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := r.mgr.Transfer(f, r.src, r.dst); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.mgr.Free(f, r.src); err != nil {
+				t.Fatal(err)
+			}
+			fs[i] = f
+		}
+		for _, f := range fs {
+			if err := r.mgr.Free(f, r.dst); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if ring {
+			r.mgr.RetireNotices(r.mgr.CollectNotices(r.dst, r.src))
+		} else {
+			r.mgr.DeliverNotices(r.dst, r.src)
+		}
+	}
+	for _, ring = range []bool{false, true} {
+		cycle()
+		if n := testing.AllocsPerRun(100, cycle); n != 0 {
+			t.Errorf("ring=%v: Free x4 then deliver the notices: %v allocs, want 0", ring, n)
+		}
+	}
+	if st := r.mgr.Snapshot(); st.NoticesPiggy != 4*102 || st.NoticesRing != 4*102 {
+		t.Errorf("%d notices delivered and %d retired, want %d each", st.NoticesPiggy, st.NoticesRing, 4*102)
+	}
+	r.check(t)
+}
+
+// TestFreeBatchAllocationFree: the originator's FreeBatch of up to eight
+// cached fbufs recycles them onto the path's free list without allocating.
+func TestFreeBatchAllocationFree(t *testing.T) {
+	r := newRig(t)
+	if r.mgr.SanitizerEnabled() {
+		t.Skip("fbsan allocates by design: it saves canary bytes")
+	}
+	p := r.path(t, CachedVolatile(), 1)
+	fs := make([]*Fbuf, 8)
+	for k := 1; k <= len(fs); k++ {
+		cycle := func() {
+			if n, err := p.AllocBatch(fs[:k]); err != nil || n != k {
+				t.Fatalf("AllocBatch: %d of %d (%v)", n, k, err)
+			}
+			if err := r.mgr.FreeBatch(fs[:k], r.src); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cycle()
+		if n := testing.AllocsPerRun(100, cycle); n != 0 {
+			t.Errorf("AllocBatch and FreeBatch of %d: %v allocs, want 0", k, n)
+		}
+	}
+	r.check(t)
+}
+
 func TestDataIntegrityThroughTransfer(t *testing.T) {
 	r := newRig(t)
 	p := r.path(t, CachedVolatile(), 2)

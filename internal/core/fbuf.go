@@ -181,6 +181,10 @@ type Fbuf struct {
 	// gen increments on every recycle; stale references from a prior
 	// life are a caller bug that tests can detect.
 	gen atomic.Uint64
+	// noticeAt is the holder whose deallocation notice queued the fbuf
+	// last: with Originator, the key of the notice batch it is in while
+	// it drains. Written under the manager's notice lock.
+	noticeAt domain.ID
 }
 
 // holder is one line of an fbuf's holder table.

@@ -739,6 +739,7 @@ func (m *Manager) freeOne(f *Fbuf, d *domain.Domain, batch *recycleBatch) error 
 	f.setState(StateDrainingNotice)
 	k := noticeKey{holder: d.ID, owner: f.Originator.ID}
 	m.noticeMu.Lock()
+	f.noticeAt = d.ID
 	m.notices[k] = append(m.notices[k], f)
 	n := len(m.notices[k])
 	var overflow []*Fbuf
@@ -770,13 +771,15 @@ func (m *Manager) DeliverNotices(replier, caller *domain.Domain) {
 		o.SpanBegin(span.StageNotice, "core", int(replier.ID)+m.Sys.TraceBase, 0)
 		defer o.SpanEnd()
 	}
-	batch := m.popNotices(noticeKey{holder: replier.ID, owner: caller.ID})
+	k := noticeKey{holder: replier.ID, owner: caller.ID}
+	batch := m.popNotices(k)
 	if n := len(batch); n > 0 {
 		atomic.AddUint64(&m.stats.NoticesPiggy, uint64(n))
 		m.emit(obs.EvNoticePiggy, replier, nil, int64(n))
 		for _, f := range batch {
 			m.recycle(f)
 		}
+		m.reuseNotices(k, batch)
 	}
 }
 
@@ -807,18 +810,37 @@ func (m *Manager) RetireNotices(batch []*Fbuf) {
 		o.SpanBegin(span.StageNotice, "core", obs.NoActor, int64(len(batch)))
 		defer o.SpanEnd()
 	}
+	// The batch is still the notices' own: nothing can have queued its
+	// first fbuf again.
+	k := noticeKey{holder: batch[0].noticeAt, owner: batch[0].Originator.ID}
 	for _, f := range batch {
 		m.recycle(f)
 	}
+	m.reuseNotices(k, batch)
 }
 
-// popNotices removes and returns the pending notice batch for k.
+// popNotices removes and returns the pending notice batch for k. A key
+// whose list is empty keeps it, storage for the next batch.
 func (m *Manager) popNotices(k noticeKey) []*Fbuf {
 	m.noticeMu.Lock()
 	b := m.notices[k]
-	delete(m.notices, k)
+	if len(b) == 0 {
+		b = nil
+	} else {
+		delete(m.notices, k)
+	}
 	m.noticeMu.Unlock()
 	return b
+}
+
+// reuseNotices hands a drained batch's storage back to its key, as the
+// next batch's, unless notices have been queued there since.
+func (m *Manager) reuseNotices(k noticeKey, batch []*Fbuf) {
+	m.noticeMu.Lock()
+	if len(m.notices[k]) == 0 {
+		m.notices[k] = batch[:0]
+	}
+	m.noticeMu.Unlock()
 }
 
 // recycleBatch collects same-path cached recycles during FreeBatch so all
@@ -826,8 +848,13 @@ func (m *Manager) popNotices(k noticeKey) []*Fbuf {
 // latched on the first eligible recycle; fbufs of other paths fall back to
 // immediate per-fbuf pushes.
 type recycleBatch struct {
-	path  *DataPath
-	fbufs []*Fbuf
+	path *DataPath
+	// The batch is buf[:n] then more: a batch of up to len(buf) recycles
+	// allocates nothing. (A slice into buf would move the batch to the
+	// heap.)
+	n    int
+	buf  [8]*Fbuf
+	more []*Fbuf
 }
 
 // recycle returns an fbuf to its allocator. Cached fbufs go to the path's
@@ -855,7 +882,12 @@ func (m *Manager) recycleB(f *Fbuf, batch *recycleBatch) {
 				if m.san != nil {
 					m.san.poisonFree(f)
 				}
-				batch.fbufs = append(batch.fbufs, f)
+				if batch.n < len(batch.buf) {
+					batch.buf[batch.n] = f
+					batch.n++
+				} else {
+					batch.more = append(batch.more, f)
+				}
 				return
 			}
 		}
@@ -920,14 +952,14 @@ func (m *Manager) resetForFreeList(f *Fbuf) {
 // flushRecycleBatch pushes all deferred recycles onto the latched path's
 // free list under one lock acquisition.
 func (m *Manager) flushRecycleBatch(b *recycleBatch) {
-	if b.path == nil || len(b.fbufs) == 0 {
+	if b.path == nil || b.n == 0 {
 		return
 	}
 	p := b.path
 	p.mu.Lock()
-	p.free = append(p.free, b.fbufs...) // LIFO push, batch order preserved
+	p.free = append(append(p.free, b.buf[:b.n]...), b.more...) // LIFO push, batch order preserved
 	p.mu.Unlock()
-	b.fbufs = nil
+	b.n, b.more = 0, nil
 }
 
 // unmapFromLocked tears down all of the fbuf's PTEs in d. The fbuf's own
@@ -1099,8 +1131,12 @@ func (m *Manager) domainDied(d *domain.Domain) {
 	// destined for it (its allocators are gone; the kernel recycles).
 	m.noticeMu.Lock()
 	var stranded []noticeKey
-	for k := range m.notices {
-		if k.holder == d.ID || k.owner == d.ID {
+	for k, l := range m.notices {
+		switch {
+		case k.holder != d.ID && k.owner != d.ID:
+		case len(l) == 0:
+			delete(m.notices, k) // storage kept for a batch that cannot come
+		default:
 			stranded = append(stranded, k)
 		}
 	}

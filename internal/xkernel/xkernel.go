@@ -162,13 +162,16 @@ type proxy struct {
 	upPort       ipc.PortID // owned by upper's domain; lower calls it
 	upperStub    *stub      // lives in upper's domain, acts as its "below"
 	lowerStub    *stub      // lives in lower's domain, acts as its "above"
+	// downViews and upViews open the views that cross into lower's and
+	// upper's domain; each is built on its domain's first receive.
+	downViews, upViews *aggregate.Ctx
 }
 
 func newProxy(env *Env, upper, lower Layer, lowerDom *domain.Domain) *proxy {
 	p := &proxy{env: env, upper: upper, lower: lower}
 	if lower != nil {
 		p.downPort = env.Router.Register(lowerDom, func(from *domain.Domain, msg *ipc.Message) (*ipc.Message, error) {
-			m, err := p.receive(msg, lowerDom)
+			m, err := p.receive(msg, lowerDom, &p.downViews)
 			if err != nil {
 				return nil, err
 			}
@@ -177,7 +180,7 @@ func newProxy(env *Env, upper, lower Layer, lowerDom *domain.Domain) *proxy {
 		p.upperStub = &stub{p: p, dom: upper.Dom(), peerDom: lowerDom, port: p.downPort, name: lower.Name() + "-proxy"}
 	}
 	p.upPort = env.Router.Register(upper.Dom(), func(from *domain.Domain, msg *ipc.Message) (*ipc.Message, error) {
-		m, err := p.receive(msg, upper.Dom())
+		m, err := p.receive(msg, upper.Dom(), &p.upViews)
 		if err != nil {
 			return nil, err
 		}
@@ -189,15 +192,21 @@ func newProxy(env *Env, upper, lower Layer, lowerDom *domain.Domain) *proxy {
 
 // receive materializes the peer's view of the message the IPC body
 // carries. Integrated messages are reconstructed from the root reference
-// with full validation; private messages are rebuilt from the marshalled
-// fbuf list (step 3c of the baseline transfer).
-func (p *proxy) receive(im *ipc.Message, at *domain.Domain) (*aggregate.Msg, error) {
+// with full validation, through *views, the receiving domain's Ctx: the
+// layer that consumes the view runs in that domain, so its slot comes back
+// to *views for the next crossing. Private messages are rebuilt from the
+// marshalled fbuf list (step 3c of the baseline transfer).
+func (p *proxy) receive(im *ipc.Message, at *domain.Domain, views **aggregate.Ctx) (*aggregate.Msg, error) {
 	m, ok := im.Body.(*aggregate.Msg)
 	if !ok {
 		return nil, fmt.Errorf("xkernel: malformed proxy message %q", im.Op)
 	}
 	if m.Integrated() {
-		return aggregate.Open(p.env.Mgr, at, m.RootVA())
+		if *views == nil {
+			// Opening views needs no allocator of its own.
+			*views = &aggregate.Ctx{Mgr: p.env.Mgr, Dom: at}
+		}
+		return (*views).Open(m.RootVA())
 	}
 	return m.ViewFor(at)
 }
