@@ -128,23 +128,6 @@ func fuzzSeeds() ([]fuzzSeed, error) {
 	}, nil
 }
 
-// chainImage encodes a right-leaning chain of n leaves in an fbuf at
-// base: pair i at node 2i over leaf i at node 2i+1 and the rest of the
-// chain at node 2i+2, the last leaf at node 2n-2, and each leaf 16 bytes
-// of the fbuf's second page. Opening it gives a view of n segments.
-func chainImage(base vm.VA, n int) []byte {
-	img := make([]byte, (2*n-1)*nodeSize)
-	node := func(i int) []byte { return img[i*nodeSize:] }
-	at := func(i int) vm.VA { return base + vm.VA(i*nodeSize) }
-	data := func(i int) vm.VA { return base + vm.VA(machine.PageSize+16*i) }
-	for i := 0; i < n-1; i++ {
-		encodePair(node(2*i), at(2*i+1), at(2*i+2), 16*(n-i))
-		encodeLeaf(node(2*i+1), data(i), 16)
-	}
-	encodeLeaf(node(2*n-2), data(n-1), 16)
-	return img
-}
-
 // FuzzOpen throws arbitrary node images at the receiver-side DAG walker.
 // The section 3.2.4 contract under test: traversal of any byte pattern
 // must terminate (range checks, cycle detection, node-count bound) and
@@ -169,33 +152,16 @@ func FuzzOpen(f *testing.F) {
 		}
 		rootVA := fb.Base + vm.VA(rootSel%uint32(fb.Size()))
 
-		// A view of 40 segments goes back to c's pool, its lists still
-		// holding their entries past length 0 (under fbsan, poisoned
-		// and dropped). It is opened before the input is: a DAG that
-		// points where the long fbuf is allocated later leaves the
-		// receiver an empty-leaf mapping there, which hides the fbuf.
-		long, lerr := r.mgr.NewPath("long", core.CachedVolatile(), 2, r.src, r.dst)
-		if lerr != nil {
-			t.Fatal(lerr)
-		}
-		lf, lerr := long.Alloc()
-		if lerr != nil {
-			t.Fatal(lerr)
-		}
-		if lerr := lf.DMAWrite(0, chainImage(lf.Base, 40)); lerr != nil {
-			t.Fatal(lerr)
-		}
-		if lerr := r.mgr.Transfer(lf, r.src, r.dst); lerr != nil {
-			t.Fatal(lerr)
-		}
+		// c's pool holds a slot a 40-segment view left behind: its lists
+		// keep their entries past length 0.
 		c := &Ctx{Mgr: r.mgr, Dom: r.dst}
-		lv, lerr := c.Open(lf.Base)
-		if lerr != nil || len(lv.Segs()) != 40 {
-			t.Fatalf("long view: %d segments (%v), want 40", len(lv.Segs()), lerr)
+		stale := &slot{home: c, segs: make([]Seg, 40), fbufs: make([]*core.Fbuf, 40)}
+		for i := range stale.segs {
+			stale.segs[i] = Seg{F: fb, VA: fb.Base + vm.VA(16*i), N: 16}
+			stale.fbufs[i] = fb
 		}
-		if lerr := lv.Free(r.dst); lerr != nil {
-			t.Fatal(lerr)
-		}
+		stale.segs, stale.fbufs = stale.segs[:0], stale.fbufs[:0]
+		c.pool = append(c.pool, stale)
 		m, err := Open(r.mgr, r.dst, rootVA)
 		pm, perr := c.Open(rootVA)
 		if fmt.Sprint(perr) != fmt.Sprint(err) {

@@ -168,10 +168,10 @@ func TestReassemblyAllocsFlat(t *testing.T) {
 // the fragments costs is measured apart and subtracted). The result takes
 // over the first fragment's slot, whose lists keep the capacity the last
 // fold grew them to, and every other fragment's slot goes back to the
-// Ctx.
+// Ctx. Under fbsan, which drops a pooled slot's lists and re-walks every
+// built DAG, the fold allocates at most 16 times.
 func TestReassemble64Allocs(t *testing.T) {
 	r := newRig(t)
-	skipUnderSanitizer(t, r)
 	c := r.ctx(t, true, 1)
 	fold := func(frags []*Msg) {
 		if err := reassemble(t, c, frags).Free(r.src); err != nil {
@@ -187,8 +187,12 @@ func TestReassemble64Allocs(t *testing.T) {
 			}
 		}
 	})
-	if n := withJoins - buildOnly; n != 0 {
-		t.Errorf("64-fragment fold: %v allocs, want 0", n)
+	limit := 0.0
+	if r.mgr.SanitizerEnabled() {
+		limit = 16
+	}
+	if n := withJoins - buildOnly; n > limit {
+		t.Errorf("64-fragment fold: %v allocs, want <= %v", n, limit)
 	}
 }
 
